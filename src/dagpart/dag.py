@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -12,11 +13,6 @@ from .errors import (
     PartitionArityMismatchError,
     SelfLoopError,
 )
-
-# Above this vertex count reachability queries fall back to per-query DFS
-# instead of being cached, to keep memory at O(n + m).
-REACHABILITY_CACHE_CAP = 2048
-
 
 @dataclass(frozen=True)
 class TopoOrder:
@@ -42,6 +38,16 @@ def _kahn(n: int, succ, indeg_init) -> list[int]:
     return order
 
 
+def mask_vertices(mask: int) -> list[int]:
+    """The vertex ids whose bits are set in mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _extract_cycle(remaining: set[int], pred) -> list[int]:
     """Walk predecessors inside the unresolved set until a vertex repeats."""
     seen: dict[int, int] = {}
@@ -63,10 +69,14 @@ class Dag:
     weights and costs, no self-loops, no parallel edges, and no directed
     cycle.  The instance is immutable afterwards and safe to share between
     threads.
+
+    Reachability is held as Python-int bitsets (bit v of
+    `descendant_masks[u]` is set iff u reaches v), built on the first
+    reachability query, so construction costs nothing for callers that never
+    ask.  Two threads racing on that first query build equal tables.
     """
 
-    def __init__(self, weights: Sequence[int], edges: Iterable[tuple[int, int, int]],
-                 reach_cache_cap: int = REACHABILITY_CACHE_CAP):
+    def __init__(self, weights: Sequence[int], edges: Iterable[tuple[int, int, int]]):
         self.w = tuple(int(x) for x in weights)
         self.n = len(self.w)
         for i, wi in enumerate(self.w):
@@ -105,10 +115,6 @@ class Dag:
             position[u] = idx
         self.topo = TopoOrder(tuple(order), tuple(position))
 
-        self._cache_reach = self.n <= reach_cache_cap
-        self._desc_cache: dict[int, frozenset[int]] = {}
-        self._anc_cache: dict[int, frozenset[int]] = {}
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -125,42 +131,65 @@ class Dag:
         if not (0 <= u < self.n):
             raise ValueError(f"vertex {u} out of range for n={self.n}")
 
-    def _reach(self, u: int, adjacency) -> frozenset[int]:
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            a = stack.pop()
-            for b in adjacency[a]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return frozenset(seen)
+    def _closure(self, order, adjacency) -> tuple[int, ...]:
+        """One pass in which each vertex ORs in its neighbours' closures;
+        order must list every neighbour before the vertex itself."""
+        masks = [0] * self.n
+        for u in order:
+            mask = 0
+            for v in adjacency[u]:
+                mask |= masks[v] | (1 << v)
+            masks[u] = mask
+        return tuple(masks)
+
+    @cached_property
+    def descendant_masks(self) -> tuple[int, ...]:
+        """Bitset per vertex of the vertices it reaches by a non-empty path."""
+        return self._closure(reversed(self.topo.order), self.succ)
+
+    @cached_property
+    def ancestor_masks(self) -> tuple[int, ...]:
+        """Bitset per vertex of the vertices that reach it by a non-empty path."""
+        return self._closure(self.topo.order, self.pred)
+
+    def path_mask(self, u: int, v: int) -> int:
+        """Bitset of the interior vertices of all u->v paths (0 if u == v)."""
+        return self.descendant_masks[u] & self.ancestor_masks[v]
+
+    @cached_property
+    def _weight_tables(self) -> tuple[tuple[int, ...], ...]:
+        # one 256-entry table per byte of a mask: weight sum of that byte's
+        # vertices, so a mask's weight is one lookup per byte
+        tables = []
+        for base in range(0, self.n, 8):
+            chunk = self.w[base:base + 8] + (0,) * 8
+            table = [0] * 256
+            for byte in range(1, 256):
+                low = byte & -byte
+                table[byte] = table[byte ^ low] + chunk[low.bit_length() - 1]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    def mask_weight(self, mask: int) -> int:
+        """Total vertex weight of the vertices in a bitset."""
+        tables = self._weight_tables
+        return sum(t[b] for t, b in zip(tables, mask.to_bytes(len(tables), "little")))
 
     def descendants(self, u: int) -> frozenset[int]:
         """All vertices reachable from u by a non-empty path (u excluded)."""
         self._check_vertex(u)
-        if self._cache_reach:
-            if u not in self._desc_cache:
-                self._desc_cache[u] = self._reach(u, self.succ)
-            return self._desc_cache[u]
-        return self._reach(u, self.succ)
+        return frozenset(mask_vertices(self.descendant_masks[u]))
 
     def ancestors(self, u: int) -> frozenset[int]:
         """All vertices that reach u by a non-empty path (u excluded)."""
         self._check_vertex(u)
-        if self._cache_reach:
-            if u not in self._anc_cache:
-                self._anc_cache[u] = self._reach(u, self.pred)
-            return self._anc_cache[u]
-        return self._reach(u, self.pred)
+        return frozenset(mask_vertices(self.ancestor_masks[u]))
 
     def path_nodes(self, u: int, v: int) -> frozenset[int]:
         """Interior vertices lying on some u->v path, endpoints excluded."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return frozenset()
-        return self.descendants(u) & self.ancestors(v)
+        return frozenset(mask_vertices(self.path_mask(u, v)))
 
 
 def validate_dag(weights: Sequence[int], edges: Iterable[tuple[int, int, int]]) -> TopoOrder:

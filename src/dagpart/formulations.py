@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .dag import Dag, quotient_graph, _kahn
+from .dag import Dag, mask_vertices, quotient_graph, _kahn
 from .errors import (
     AmbiguousAssignmentError,
     InvalidKError,
@@ -108,15 +108,15 @@ def _base_meta(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
     })
 
 
+def _in_topo_order(g: Dag, mask: int) -> list[int]:
+    """The vertices of a bitset, sorted by topological position."""
+    return sorted(mask_vertices(mask), key=g.topo.position.__getitem__)
+
+
 def chained_triples(g: Dag):
     """Triples (i, j, h) with i->j and j->h reachable, in topological pair order."""
-    out = []
-    for i in range(g.n):
-        di = g.descendants(i)
-        for j in sorted(di, key=lambda v: g.topo.position[v]):
-            for h in sorted(g.descendants(j), key=lambda v: g.topo.position[v]):
-                out.append((i, j, h))
-    return out
+    later = [_in_topo_order(g, desc) for desc in g.descendant_masks]
+    return [(i, j, h) for i in range(g.n) for j in later[i] for h in later[j]]
 
 
 def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
@@ -359,12 +359,14 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
                                  [(1, zij), (1, zjl)], "<=", 1)
 
     if variant == "final":
+        earlier = [_in_topo_order(g, anc) for anc in g.ancestor_masks]
+        later = [_in_topo_order(g, desc) for desc in g.descendant_masks]
         for i in range(g.n):
-            terms = [(g.w[j], _z(j, i)) for j, jj in pairs if jj == i]
-            terms += [(g.w[j], _z(i, j)) for ii, j in pairs if ii == i]
+            terms = [(g.w[j], _z(j, i)) for j in earlier[i]]
+            terms += [(g.w[j], _z(i, j)) for j in later[i]]
             m.add_constraint(f"weightcap_{i}", terms, "<=", bound - g.w[i])
         for i in range(g.n):
-            reach_i = sorted(g.descendants(i), key=lambda v: pos[v])
+            reach_i = later[i]
             for a in range(len(reach_i)):
                 for b in range(a + 1, len(reach_i)):
                     j, l = reach_i[a], reach_i[b]

@@ -1,7 +1,12 @@
 """Solver-agnostic MILP container with LP emission, solution ingestion, evaluation.
 
-All arithmetic is exact: coefficients are ints or Fractions, and `evaluate`
-checks constraints in rational arithmetic after integrality rounding.
+All arithmetic is exact and involves no floats.  Coefficients are
+normalised once, when a constraint or the objective is added, and values
+once, when a solution is read or evaluated: a number that is integral is
+kept as a plain int, any other as a `Fraction` (a float becomes the
+`Fraction` of its exact binary value).  int and `Fraction` arithmetic mix
+without rounding, so `evaluate` checks constraints exactly after
+integrality rounding.
 """
 
 from __future__ import annotations
@@ -47,13 +52,24 @@ class Constraint:
 class EvalResult:
     feasible: bool
     violations: tuple[str, ...]
-    objective: Fraction
+    objective: int | Fraction
 
 
 def _check_finite(value, where: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise UnrepresentableCoefficientError(f"non-finite coefficient in {where}")
     return value
+
+
+def _exact(value, where: str):
+    """A finite number as an int if it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    _check_finite(value, where)
+    if isinstance(value, int):
+        return int(value)
+    frac = Fraction(value)
+    return frac.numerator if frac.denominator == 1 else frac
 
 
 class LinearModel:
@@ -103,9 +119,9 @@ class LinearModel:
             if var_name not in self._index:
                 raise ValueError(f"constraint {name!r} references unknown "
                                  f"variable {var_name!r}")
-            checked.append((_check_finite(coef, name), var_name))
+            checked.append((_exact(coef, name), var_name))
         self.constraints.append(Constraint(name, tuple(checked), sense,
-                                           _check_finite(rhs, name)))
+                                           _exact(rhs, name)))
 
     def set_objective(self, sense: str, terms, offset=0) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
@@ -114,33 +130,28 @@ class LinearModel:
         for coef, var_name in terms:
             if var_name not in self._index:
                 raise ValueError(f"objective references unknown variable {var_name!r}")
-            checked.append((_check_finite(coef, "objective"), var_name))
+            checked.append((_exact(coef, "objective"), var_name))
         self.objective_sense = sense
         self.objective_terms = tuple(checked)
-        self.objective_offset = _check_finite(offset, "objective")
+        self.objective_offset = _exact(offset, "objective")
 
 
 def _fmt_num(value) -> str:
-    _check_finite(value, "LP output")
-    frac = Fraction(value) if not isinstance(value, Fraction) else value
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return repr(float(frac))
+    value = _exact(value, "LP output")
+    return str(value) if type(value) is int else repr(float(value))
 
 
 def _fmt_terms(terms) -> str:
-    if not terms:
-        return ""
+    """Signed terms; coefficients are already ints or Fractions."""
     pieces = []
-    for idx, (coef, name) in enumerate(terms):
-        frac = Fraction(coef)
-        mag = abs(frac)
-        body = name if mag == 1 else f"{_fmt_num(mag)} {name}"
-        if idx == 0:
-            pieces.append(body if frac >= 0 else f"- {body}")
+    for coef, name in terms:
+        if coef < 0:
+            sign, coef = "- ", -coef
         else:
-            pieces.append(("+ " if frac >= 0 else "- ") + body)
-    return " ".join(pieces)
+            sign = "+ "
+        pieces.append(sign + name if coef == 1 else f"{sign}{_fmt_num(coef)} {name}")
+    text = " ".join(pieces)
+    return text[2:] if text.startswith("+ ") else text
 
 
 def write_lp(m: LinearModel) -> str:
@@ -149,7 +160,7 @@ def write_lp(m: LinearModel) -> str:
     lines.append("Maximize" if m.objective_sense == MAXIMIZE else "Minimize")
     obj = _fmt_terms(m.objective_terms)
     if m.objective_offset:
-        offset = Fraction(m.objective_offset)
+        offset = m.objective_offset
         tail = f"+ {_fmt_num(offset)}" if offset > 0 else f"- {_fmt_num(-offset)}"
         obj = f"{obj} {tail}".strip()
     lines.append(f" obj: {obj}".rstrip())
@@ -179,9 +190,13 @@ def write_lp(m: LinearModel) -> str:
 
 
 def _round_integral(var: Variable, value: Fraction, strict: bool):
+    """An integral value as an int; for integer kinds within tolerance of an
+    integer, that integer; otherwise the Fraction itself (or an error)."""
+    if value.denominator == 1:
+        return value.numerator
     if var.kind == CONTINUOUS:
         return value
-    nearest = Fraction(round(value))
+    nearest = round(value)
     if abs(value - nearest) <= INTEGRALITY_TOLERANCE:
         return nearest
     if strict:
@@ -200,7 +215,7 @@ def read_solution(m: LinearModel, text: str):
 
     Returns (assignment dict, warnings list).
     """
-    assignment = {v.name: Fraction(0) for v in m.variables}
+    assignment = {v.name: 0 for v in m.variables}
     warnings: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -212,13 +227,18 @@ def read_solution(m: LinearModel, text: str):
                                      line_no)
         name, value_text = tokens
         try:
-            value = Fraction(value_text)
-        except (ValueError, ZeroDivisionError):
-            raise SolutionParseError(f"bad numeric value {value_text!r}", line_no)
+            value = int(value_text)
+        except ValueError:
+            try:
+                value = Fraction(value_text)
+            except (ValueError, ZeroDivisionError):
+                raise SolutionParseError(f"bad numeric value {value_text!r}", line_no)
         if name not in assignment:
             warnings.append(f"line {line_no}: unknown variable {name!r} ignored")
             continue
-        assignment[name] = _round_integral(m.var(name), value, strict=True)
+        if type(value) is not int:
+            value = _round_integral(m.var(name), value, strict=True)
+        assignment[name] = value
     return assignment, warnings
 
 
@@ -226,13 +246,17 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
     """Check all constraints and domains exactly; report objective value.
 
     Integer-domain values within tolerance of an integer are rounded first.
-    With early_exit=True the scan stops at the first violation.
+    Integral values are kept as ints and the rest as Fractions, so every
+    sum below is exact.  With early_exit=True the scan stops at the first
+    violation.
     """
-    values: dict[str, Fraction] = {}
+    values: dict[str, int | Fraction] = {}
     violations: list[str] = []
     for var in m.variables:
-        value = Fraction(assignment.get(var.name, 0))
-        values[var.name] = _round_integral(var, value, strict=False)
+        value = assignment.get(var.name, 0)
+        if type(value) is not int:
+            value = _round_integral(var, Fraction(value), strict=False)
+        values[var.name] = value
     for var in m.variables:
         value = values[var.name]
         if var.kind in (BINARY, INTEGER) and value.denominator != 1:
@@ -245,14 +269,13 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
             break
     if not (violations and early_exit):
         for con in m.constraints:
-            lhs = sum(Fraction(coef) * values[name] for coef, name in con.terms)
+            lhs = sum(coef * values[name] for coef, name in con.terms)
             ok = (lhs <= con.rhs if con.sense == "<=" else
                   lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
             if not ok:
                 violations.append(f"{con.name}: {lhs} {con.sense} {con.rhs} fails")
                 if early_exit:
                     break
-    objective = sum((Fraction(coef) * values[name]
-                     for coef, name in m.objective_terms), Fraction(0))
-    objective += Fraction(m.objective_offset)
+    objective = sum(coef * values[name] for coef, name in m.objective_terms)
+    objective += m.objective_offset
     return EvalResult(not violations, tuple(violations), objective)

@@ -10,27 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag
+from .dag import Dag, mask_vertices
 from .errors import MissingTablesError
 
 
 def compute_alpha(g: Dag) -> tuple[tuple[bool, ...], ...]:
     """Boolean reachability matrix: alpha[i][j] iff j is a descendant of i."""
-    rows = []
-    for i in range(g.n):
-        desc = g.descendants(i)
-        rows.append(tuple(j in desc for j in range(g.n)))
-    return tuple(rows)
+    return tuple(tuple(bool(desc >> j & 1) for j in range(g.n))
+                 for desc in g.descendant_masks)
 
 
-def compute_A(g: Dag, alpha) -> dict[tuple[int, int], int]:
+def compute_A(g: Dag) -> dict[tuple[int, int], int]:
     """Pairwise path-weight sums: w_i + w_j plus all interior path vertices."""
     table: dict[tuple[int, int], int] = {}
-    for i in range(g.n):
-        for j in range(g.n):
-            if alpha[i][j]:
-                interior = sum(g.w[h] for h in g.path_nodes(i, j))
-                table[(i, j)] = g.w[i] + g.w[j] + interior
+    for i, desc in enumerate(g.descendant_masks):
+        for j in mask_vertices(desc):
+            table[(i, j)] = g.w[i] + g.w[j] + g.mask_weight(g.path_mask(i, j))
     return table
 
 
@@ -40,20 +35,19 @@ def a_prime_value(g: Dag, i: int, j: int, l: int) -> int:
     w_j is counted once through the explicit endpoint term, hence the
     removal of j from the interior union.
     """
-    interior = (g.path_nodes(i, j) | g.path_nodes(j, l) | g.path_nodes(i, l)) - {j}
-    return g.w[i] + g.w[j] + g.w[l] + sum(g.w[h] for h in interior)
+    interior = g.path_mask(i, j) | g.path_mask(j, l) | g.path_mask(i, l)
+    interior &= ~(1 << j)
+    return g.w[i] + g.w[j] + g.w[l] + g.mask_weight(interior)
 
 
-def compute_A_prime(g: Dag, alpha) -> dict[tuple[int, int, int], int]:
+def compute_A_prime(g: Dag) -> dict[tuple[int, int, int], int]:
     """Triple sums for chained triples (i->j and j->l), topologically ordered."""
     table: dict[tuple[int, int, int], int] = {}
+    desc = g.descendant_masks
     for i in range(g.n):
-        for j in range(g.n):
-            if not alpha[i][j]:
-                continue
-            for l in range(g.n):
-                if alpha[j][l]:
-                    table[(i, j, l)] = a_prime_value(g, i, j, l)
+        for j in mask_vertices(desc[i]):
+            for l in mask_vertices(desc[j]):
+                table[(i, j, l)] = a_prime_value(g, i, j, l)
     return table
 
 
@@ -75,7 +69,5 @@ class PreprocessTables:
 
 def compute_tables(g: Dag, with_triples: bool = False) -> PreprocessTables:
     """Compute alpha and A; A' only on request since it is the O(n^3) step."""
-    alpha = compute_alpha(g)
-    a_table = compute_A(g, alpha)
-    a_prime = compute_A_prime(g, alpha) if with_triples else None
-    return PreprocessTables(alpha, a_table, a_prime)
+    a_prime = compute_A_prime(g) if with_triples else None
+    return PreprocessTables(compute_alpha(g), compute_A(g), a_prime)

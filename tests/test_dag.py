@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dagpart import Dag, Partition, quotient_graph, validate_dag
@@ -93,3 +95,43 @@ def test_edge_cost_aggregation_in_quotient():
     g = Dag([1, 1, 1], [(0, 1, 2), (0, 2, 3), (1, 2, 5)])
     q = quotient_graph(g, Partition((0, 0, 1), 2))
     assert q.edge_costs == {(0, 1): 8}
+
+
+def _dfs_reach(n, adjacency, u):
+    """Reference: plain DFS over adjacency lists, u itself excluded."""
+    seen, stack = set(), [u]
+    while stack:
+        for b in adjacency[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("n, p", [(9, 0.5), (40, 0.1), (70, 0.08), (130, 0.04)])
+def test_bitset_reachability_matches_dfs(n, p):
+    rng = random.Random(n)
+    order = list(range(n))
+    rng.shuffle(order)   # vertex ids not in topological order
+    edges = [(order[a], order[b], 1) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < p]
+    g = Dag([1] * n, edges)
+    succ = [[v for u, v, _ in edges if u == x] for x in range(n)]
+    pred = [[u for u, v, _ in edges if v == x] for x in range(n)]
+    desc = [_dfs_reach(n, succ, u) for u in range(n)]
+    anc = [_dfs_reach(n, pred, u) for u in range(n)]
+    for u in range(n):
+        assert g.descendants(u) == desc[u]
+        assert g.ancestors(u) == anc[u]
+    for _ in range(300):
+        u, v = rng.randrange(n), rng.randrange(n)
+        expected = frozenset() if u == v else desc[u] & anc[v]
+        assert g.path_nodes(u, v) == expected
+
+
+def test_reachability_rejects_bad_vertex():
+    g = chain(3)
+    for query in (lambda: g.descendants(3), lambda: g.ancestors(-1),
+                  lambda: g.path_nodes(0, 5)):
+        with pytest.raises(ValueError):
+            query()

@@ -153,3 +153,69 @@ def test_evaluate_early_exit():
     res = evaluate(m, {"a": 2, "b": 2}, early_exit=True)
     assert not res.feasible
     assert len(res.violations) == 1
+
+
+def _tenths_model(coef, sense, rhs):
+    m = LinearModel("tenths")
+    names = [m.add_binary(f"b{i}") for i in range(10)]
+    m.add_constraint("sum", [(coef, name) for name in names], sense, rhs)
+    m.set_objective("max", [(coef, name) for name in names])
+    return m, {name: 1 for name in names}
+
+
+def test_evaluate_exact_with_fraction_coefficients():
+    # ten times 1/10 is exactly 1; in floats it is 0.9999999999999999
+    m, ones = _tenths_model(Fraction(1, 10), "=", 1)
+    res = evaluate(m, ones)
+    assert res.feasible and res.objective == 1
+
+
+def test_evaluate_exact_with_float_coefficients():
+    # a float coefficient means its exact binary value, which is not 1/10
+    m, ones = _tenths_model(0.1, "=", 1)
+    res = evaluate(m, ones)
+    assert not res.feasible
+    assert res.objective == 10 * Fraction(0.1) != 1
+    m, ones = _tenths_model(0.1, "<=", 10 * Fraction(0.1))
+    assert evaluate(m, ones).feasible
+
+
+def test_evaluate_fractional_continuous_values():
+    m = LinearModel("cont")
+    m.add_continuous("c", 0, 1)
+    m.add_binary("b")
+    m.add_constraint("third", [(3, "c"), (-1, "b")], "=", 0)
+    m.set_objective("min", [(Fraction(1, 2), "c"), (1, "b")], offset=Fraction(1, 6))
+    res = evaluate(m, {"c": Fraction(1, 3), "b": 1})
+    assert res.feasible
+    assert res.objective == Fraction(1, 6) + Fraction(1, 6) + 1
+    # a float value is its exact binary value: 3 * 0.1 is not 0.3
+    res = evaluate(m, {"c": 0.1, "b": Fraction(3, 10)})
+    assert not res.feasible
+    assert any("third" in v for v in res.violations)
+
+
+def test_evaluate_binary_at_one_half_is_domain_violation():
+    m = _toy_model()
+    for half in (Fraction(1, 2), 0.5):
+        res = evaluate(m, {"a": half, "b": 0})
+        assert not res.feasible
+        assert any(v.startswith("domain: a = 1/2 not integral") for v in res.violations)
+
+
+def test_evaluate_rounds_integer_values_within_tolerance():
+    m = _toy_model()
+    res = evaluate(m, {"a": Fraction(1) - Fraction(1, 10**7), "b": 1e-9})
+    assert res.feasible and res.objective == 1
+
+
+def test_write_lp_formats_fraction_and_float_coefficients():
+    m = LinearModel("fmt")
+    m.add_binary("a")
+    m.add_binary("b")
+    m.add_constraint("c", [(Fraction(1, 2), "a"), (-2.0, "b"), (Fraction(4, 2), "a")],
+                     "<=", Fraction(3, 4))
+    m.set_objective("min", [(-1, "a"), (0.25, "b")], offset=-2)
+    text = write_lp(m)
+    assert " obj: - a + 0.25 b - 2\n" in text
+    assert " c: 0.5 a - 2 b + 2 a <= 0.75\n" in text
