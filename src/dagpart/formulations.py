@@ -260,7 +260,8 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
 
     variant: "base", "extended" (adds heavy-pair z fixing and the valid
     inequalities gated on the A/A' tables), or "final" (replaces the base
-    topological families with the compact replacement constraints).
+    topological families with the compact replacement constraints, plus
+    zlink rows tying each same-part z to the x block).
     """
     _check_k(opts)
     if variant not in ("base", "extended", "final"):
@@ -386,6 +387,13 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
             for s in range(k):
                 terms = [(-1, _z(i, j))] + prefix_ge(i, s) + prefix_le(j, s)
                 m.add_constraint(f"acyc2_{i}_{j}_{s}", terms, "<=", 1)
+        # z = 1 claims i and j share a part; without these rows nothing pins
+        # z to 0 on a cut edge, and a solver could claim a false cut
+        for i, j in zpairs:
+            for s in range(k):
+                m.add_constraint(f"zlink_{i}_{j}_{s}",
+                                 [(1, _z(i, j)), (1, _x(i, s)), (-1, _x(j, s))],
+                                 "<=", 1)
 
     m.set_objective(MAXIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
     _base_meta(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL)

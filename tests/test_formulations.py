@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dagpart import (
     decode_partition,
     evaluate,
     exhaustive_model_optimum,
+    renumber_topologically,
     validate,
 )
 from dagpart.errors import (
@@ -25,9 +27,17 @@ from dagpart.errors import (
     InvalidKError,
     QubitCapacityInfeasibleError,
 )
+from dagpart.formulations import MAX_INTERNAL
 from dagpart.model import BINARY, INTEGER
 
-from conftest import chain, diamond, noniso_dags, renumber_by_size
+from conftest import (
+    all_partitions,
+    chain,
+    diamond,
+    noniso_dags,
+    random_dag,
+    renumber_by_size,
+)
 
 
 def _vars_by_prefix(m):
@@ -240,3 +250,36 @@ def test_formulation_agreement_noniso_n3():
             assert cut == oracle.cut
         else:
             assert cut is None
+
+
+def _zflip_cases():
+    """Tiny random DAGs, each with a feasible partition that cuts an edge,
+    numbered as each formulation's canonical encoding expects."""
+    rng = random.Random(4077)
+    cases = []
+    while len(cases) < 40:
+        g = random_dag(rng, rng.randint(4, 7), p=0.45)
+        eps = Fraction(1, 2)
+        for p in all_partitions(g.n, 2):
+            cut = [(u, v) for u, v, _ in g.edges if p.assignment[u] != p.assignment[v]]
+            if cut and validate(g, p, 2, eps).feasible:
+                cases.append((g, eps, p, cut[0]))
+                break
+    return cases
+
+
+@pytest.mark.parametrize("name", FORMULATION_NAMES)
+def test_zflip_probe_rejected(name):
+    """Setting one cut edge's z to "same part" in a feasible canonical point
+    must make the point infeasible; otherwise a solver can claim a false cut."""
+    accepted = []
+    for g, eps, p, (u, v) in _zflip_cases():
+        m = build_formulation(name, g, BuildOptions(k=2, eps=eps))
+        numbered = (renumber_by_size(g, p) if name == "nossack"
+                    else renumber_topologically(g, p.assignment, 2))
+        point = canonical_assignment(m, g, numbered)
+        assert evaluate(m, point).feasible, (name, g.edges, p.assignment)
+        point[f"z_{u}_{v}"] = 1 if m.meta["convention"] == MAX_INTERNAL else 0
+        if evaluate(m, point, early_exit=True).feasible:
+            accepted.append((g.edges, p.assignment, (u, v)))
+    assert not accepted, f"{len(accepted)} flipped points accepted, e.g. {accepted[0]}"

@@ -41,13 +41,13 @@ LP_SHA256 = {
     ("random", "nossack"): "d62f406bd47da049c42f739e419ed1775f1792a5707f9566f924ff63d14bbd8a",
     ("random", "albareda-base"): "113bb1b32d704240975869c2b4788e17baad76f310adfacc62e82255ca0d290d",
     ("random", "albareda-extended"): "2c68228de2bf1cc6e46b862f064b4f508cce52473ffc2f9e7fa781e4124d05d1",
-    ("random", "albareda-final"): "e6e0e224ec2a30f7c3eced71d87de503e1f8cf344935e7765ce11645f3bf8014",
+    ("random", "albareda-final"): "f199500996309d085366e4083055568c59e28f6d5afd9e40304a2a64627d0be6",
     ("random", "proposed"): "91c1fe169b0f8d935bfd1c6f2477ffe37c88aa27e67256983277d5abbfe07d8b",
     ("layered", "undirected"): "dbab9f2ef13d8812e53fec652ef558a187b39fb888fe8941b8fd1f8ab1dde79c",
     ("layered", "nossack"): "793929888ad14301ce99cb2040019aa6e037ecb7c46c21823dde7d711b425ef7",
     ("layered", "albareda-base"): "c931105c0860c1ecc9761fa6dd4eda6c38c17e7f0426ea39dd3bd87a67654ae5",
     ("layered", "albareda-extended"): "2e15b7ca13670e7e8041a3dfc790d31ff7c3b992fc80da443198615c795fdf1b",
-    ("layered", "albareda-final"): "c7590bcf7bd3d6a5c245834df5817b483dab940e687fc6f11c44f84d2e8572eb",
+    ("layered", "albareda-final"): "f8f4b0bd3f78d3ddc911f6777038f259870ebb732375f63f02966e1f0b4b6425",
     ("layered", "proposed"): "c6530cbd2537929352a4d56bcc9af706701e684f8ba5793c82731b6c8b3e6c33",
 }
 
