@@ -131,10 +131,13 @@ def cmd_ingest_solution(args) -> int:
     p, cut = decode_partition(model, assignment)
     report = part_mod.validate(g, p, args.k, args.eps)
     check = evaluate(model, assignment)
+    violations = list(report.violations) + list(check.violations)
+    if cut != report.cut:
+        violations.append(f"claimed cut {cut} differs from the true cut {report.cut}")
     payload = {"cut": int(report.cut), "claimed_cut": str(cut),
                "model_feasible": check.feasible,
                "balanced": report.balanced, "acyclic": report.acyclic,
-               "violations": list(report.violations) + list(check.violations)}
+               "violations": violations}
     _emit(payload)
     if args.out:
         part_mod.write_partition_file(p, args.out)

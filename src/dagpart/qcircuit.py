@@ -59,9 +59,12 @@ def parse_circuit(text: str) -> Circuit:
 def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
     """Convert to a DAG with one vertex per gate plus entry/exit per qubit.
 
-    Each qubit's uses form a line subgraph entry -> gates -> exit with unit
-    edge costs.  Gate vertices weigh 1; entry/exit vertices default to 0 so
-    balance reflects computational gates only.
+    Each qubit's uses form a line subgraph entry -> gates -> exit.  Where
+    consecutive uses of several qubits join the same two vertices (say
+    `cx a b` then `cz b a`), they share one edge whose cost is the number of
+    such qubits; every other edge costs 1.  Gate vertices weigh 1;
+    entry/exit vertices default to 0 so balance reflects computational
+    gates only.
 
     Returns (dag, nq) where nq is the vertex-by-qubit incidence matrix.
     """
@@ -77,19 +80,21 @@ def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
     weights = [1] * n_gates + [entry_exit_weight] * (2 * n_qubits)
     nq = [[0] * n_qubits for _ in range(n)]
     last_use = [entry(q) for q in range(n_qubits)]
-    edges: list[tuple[int, int, int]] = []
+    costs: dict[tuple[int, int], int] = {}  # first-use order fixes edge order
     for gate_id, gate in enumerate(c.gates):
         for q_name in gate.qubits:
             if q_name not in qubit_index:
                 raise UnknownQubitError(f"gate uses undeclared qubit {q_name!r}")
             q = qubit_index[q_name]
             nq[gate_id][q] = 1
-            edges.append((last_use[q], gate_id, 1))
+            key = (last_use[q], gate_id)
+            costs[key] = costs.get(key, 0) + 1
             last_use[q] = gate_id
     for q in range(n_qubits):
         nq[entry(q)][q] = 1
         nq[exit_(q)][q] = 1
-        edges.append((last_use[q], exit_(q), 1))
+        costs[(last_use[q], exit_(q))] = 1
+    edges = [(u, v, cost) for (u, v), cost in costs.items()]
     return Dag(weights, edges), tuple(tuple(row) for row in nq)
 
 

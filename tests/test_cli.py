@@ -163,6 +163,20 @@ def test_ingest_solution_violations_exit_3(capsys, graph_file, tmp_path):
     assert payload["violations"]
 
 
+def test_ingest_solution_false_claimed_cut_exit_3(capsys, graph_file, tmp_path):
+    sol = tmp_path / "m.sol"
+    # model-feasible, but z_0_1 = 1 marks the uncut edge 0->1 as cut
+    sol.write_text("x_0_0 1\nx_1_0 1\nx_2_1 1\nx_3_1 1\n"
+                   "z_0_1 1\nz_0_2 1\nz_1_3 1\ny_0_1 1\n")
+    code, payload, _ = run(capsys, "ingest-solution", "--graph", graph_file,
+                           "--k", "2", "--formulation", "proposed",
+                           "--solution", str(sol))
+    assert code == 3
+    assert payload["model_feasible"]
+    assert payload["cut"] == 2 and payload["claimed_cut"] == "3"
+    assert payload["violations"] == ["claimed cut 3 differs from the true cut 2"]
+
+
 def test_ingest_solution_parse_error_exit_2(capsys, graph_file, tmp_path):
     sol = tmp_path / "m.sol"
     sol.write_text("x_0_0 what\n")
@@ -210,6 +224,17 @@ def test_quantum_incremental(capsys, tmp_path):
     assert code == 0
     assert payload["k"] >= 2
     assert all(count <= 2 for count in payload["part_qubits"])
+
+
+def test_quantum_gates_sharing_two_qubits(capsys, tmp_path):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text("cx a b\ncz b a\ncx b c\n")
+    code, payload, _ = run(capsys, "quantum", "--circuit", str(circuit),
+                           "--lm", "2")
+    assert code == 0
+    # {cx a b, cz b a} and {cx b c} split only qubit b's edge between them
+    assert payload["k"] == 2 and payload["cut"] == 1
+    assert payload["part_qubits"] == [2, 2]
 
 
 def test_quantum_capacity_infeasible_exit_3(capsys, tmp_path):

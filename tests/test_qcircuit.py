@@ -45,6 +45,15 @@ def test_circuit_to_dag_shape():
     assert max_gate_arity(nq) == 2
 
 
+def test_circuit_to_dag_merges_shared_qubit_edges():
+    g, _ = circuit_to_dag(parse_circuit("cx a b\ncz b a\ncx b c\n"))
+    # gates 0-2, entries 3-5, exits 6-8; both qubits of gate 0 feed gate 1
+    assert g.cost[(0, 1)] == 2
+    assert g.cost[(1, 2)] == 1
+    assert g.m == 8
+    assert g.total_cost == 9   # one unit per consecutive use of a qubit
+
+
 def test_circuit_to_dag_entry_exit_weight():
     g, _ = circuit_to_dag(parse_circuit("h a\n"), entry_exit_weight=1)
     assert g.w == (1, 1, 1)
