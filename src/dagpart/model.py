@@ -55,19 +55,12 @@ class EvalResult:
     objective: int | Fraction
 
 
-def _check_finite(value, where: str):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise UnrepresentableCoefficientError(f"non-finite coefficient in {where}")
-    return value
-
-
 def _exact(value, where: str):
     """A finite number as an int if it is integral, else as a Fraction."""
     if type(value) is int:
         return value
-    _check_finite(value, where)
-    if isinstance(value, int):
-        return int(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UnrepresentableCoefficientError(f"non-finite coefficient in {where}")
     frac = Fraction(value)
     return frac.numerator if frac.denominator == 1 else frac
 
@@ -159,8 +152,8 @@ def write_lp(m: LinearModel) -> str:
     lines = [f"\\ Problem: {m.name}"]
     lines.append("Maximize" if m.objective_sense == MAXIMIZE else "Minimize")
     obj = _fmt_terms(m.objective_terms)
-    if m.objective_offset:
-        offset = m.objective_offset
+    offset = m.objective_offset
+    if offset:
         tail = f"+ {_fmt_num(offset)}" if offset > 0 else f"- {_fmt_num(-offset)}"
         obj = f"{obj} {tail}".strip()
     lines.append(f" obj: {obj}".rstrip())
