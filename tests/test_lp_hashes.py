@@ -1,5 +1,6 @@
 """Byte-identity guard for `write_lp`: the sha256 of every formulation's LP
-text on two fixed DAGs with dense reachability.
+text on two fixed DAGs with dense reachability, and of both quantum
+strategies on one fixed circuit.
 
 Any change to coefficient arithmetic, reachability or constraint generation
 that alters a single byte of the emitted LP shows up here.  A hash may only
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from dagpart import BuildOptions, Dag, FORMULATION_NAMES, build_formulation, write_lp
+from dagpart import (BuildOptions, Dag, FORMULATION_NAMES, build_formulation,
+                     build_quantum, circuit_to_dag, parse_circuit, write_lp)
 
 from conftest import random_dag
 
@@ -66,3 +68,34 @@ def test_write_lp_sha256(graph, formulation):
     text = write_lp(build_formulation(formulation, g,
                                       BuildOptions(k=3, eps=Fraction(1, 10))))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == LP_SHA256[(graph, formulation)]
+
+
+# Five qubits, gates of arity 1-3 and repeated qubit pairs, so qubit columns,
+# merged shared-qubit edges and entry/exit vertices all reach the LP text.
+CIRCUIT = """\
+h q0
+cx q0 q1
+ccx q2 q1 q3
+cz q1 q0
+t q4
+cx q3 q4
+swap q4 q2
+cx q0 q2
+h q3
+"""
+
+QUANTUM_LP_SHA256 = {
+    ("incremental", 2): "dd20f51c1bedf39a1d4c24ad9677d1256432acea5a974764f49dc147f5fa2f33",
+    ("incremental", 3): "1b5d3acdfb48e5e5e7709d9a5a1e345ed4e49e997ae22f311f6016830dfb934b",
+    ("bigm", 2): "aee2fb3103f3dc5351688ab146ac01b7d861d8623b951decdabe2f227b7993fd",
+    ("bigm", 3): "40023b2249d9953aad5965e3eeefa377498deb87f22fe61030654836ca29dd72",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("strategy", ["incremental", "bigm"])
+def test_quantum_write_lp_sha256(strategy, k):
+    g, nq = circuit_to_dag(parse_circuit(CIRCUIT))
+    text = write_lp(build_quantum(g, BuildOptions(k=k, eps=Fraction(1, 2)), nq,
+                                  lm=3, strategy=strategy))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == QUANTUM_LP_SHA256[(strategy, k)]
