@@ -6,7 +6,7 @@ Library layout:
 - ``partition``     partitions, balance bound, feasibility validation
 - ``preprocess``    reachability and path-weight tables
 - ``model``         solver-agnostic linear models, LP emission, ingestion
-- ``formulations``  the four integer-programming formulations
+- ``formulations``  the six integer-programming formulations
 - ``exact``         brute-force oracle and branch-and-bound
 - ``multilevel``    coarsen / initial-partition / refine pipeline
 - ``qcircuit``      quantum-circuit ingestion and minimum-part driver
@@ -14,7 +14,7 @@ Library layout:
 - ``cli``           the ``dagpart`` command-line tool
 """
 
-from .dag import Dag, QuotientGraph, TopoOrder, quotient_graph, validate_dag
+from .dag import Dag, QuotientGraph, TopoOrder, quotient_graph
 from .errors import DagPartError
 from .exact import (
     INFEASIBLE,
@@ -64,7 +64,6 @@ __all__ = [
     "QuotientGraph",
     "TopoOrder",
     "quotient_graph",
-    "validate_dag",
     "DagPartError",
     "OPTIMAL",
     "INFEASIBLE",

@@ -16,18 +16,16 @@ from fractions import Fraction
 from . import partition as part_mod
 from .dag import Dag
 from .errors import (
-    CircuitParseError,
     CycleDetectedError,
     DagPartError,
     DuplicateEdgeError,
-    GraphParseError,
     InfeasibleInstanceError,
     InvalidWarmStartError,
     NoFeasibleKError,
     NonIntegralValueError,
+    ParseError,
     QubitCapacityInfeasibleError,
     SelfLoopError,
-    SolutionParseError,
     TooLargeError,
 )
 from .exact import INFEASIBLE, OPTIMAL, SolveBudget, branch_and_bound, brute_force
@@ -66,16 +64,12 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _load_graph(path) -> Dag:
-    return read_dag_file(path)
-
-
 def _eps(text: str) -> Fraction:
     return Fraction(text)
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     digest = hashlib.sha256(",".join(map(str, g.topo.order)).encode()).hexdigest()
     _emit({"n": g.n, "m": g.m, "total_weight": g.total_weight,
            "topo_hash": digest[:16]})
@@ -83,7 +77,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     warm = None
     if args.warm:
         try:
@@ -111,7 +105,7 @@ def _build_named(args, g: Dag):
 
 
 def cmd_emit_lp(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     text = write_lp(_build_named(args, g))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -122,7 +116,7 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_ingest_solution(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     model = _build_named(args, g)
     with open(args.solution, "r", encoding="ascii") as fh:
         assignment, warnings = read_solution(model, fh.read())
@@ -147,7 +141,7 @@ def cmd_ingest_solution(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     if args.k > 1 and g.n * (args.k - 1).bit_length() > COMPARE_GUARD_BITS:
         raise TooLargeError(
             f"instance too large for exhaustive model comparison (n={g.n}, k={args.k})")
@@ -164,7 +158,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_multilevel(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_dag_file(args.graph)
     final, info = multilevel_partition(g, args.k, args.eps,
                                        target_n=args.target_n,
                                        budget_nodes=args.budget_nodes)
@@ -287,8 +281,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (GraphParseError, CircuitParseError, SolutionParseError,
-            NonIntegralValueError, InvalidWarmStartError, ValueError) as exc:
+    except (ParseError, NonIntegralValueError, InvalidWarmStartError,
+            ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except (CycleDetectedError, SelfLoopError, DuplicateEdgeError) as exc:

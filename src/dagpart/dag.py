@@ -38,6 +38,17 @@ def _kahn(n: int, succ, indeg_init) -> list[int]:
     return order
 
 
+def part_order(k: int, arcs) -> list[int]:
+    """Part ids 0..k-1 in Kahn order over the (s, t) arcs, smallest ready id
+    first; fewer than k ids exactly when the arcs contain a cycle."""
+    succ = [[] for _ in range(k)]
+    indeg = [0] * k
+    for s, t in arcs:
+        succ[s].append(t)
+        indeg[t] += 1
+    return _kahn(k, succ, indeg)
+
+
 def mask_vertices(mask: int) -> list[int]:
     """The vertex ids whose bits are set in mask, in increasing order."""
     out = []
@@ -192,11 +203,6 @@ class Dag:
         return frozenset(mask_vertices(self.path_mask(u, v)))
 
 
-def validate_dag(weights: Sequence[int], edges: Iterable[tuple[int, int, int]]) -> TopoOrder:
-    """Validate a raw vertex/edge list and return its deterministic topological order."""
-    return Dag(weights, edges).topo
-
-
 @dataclass(frozen=True)
 class QuotientGraph:
     """Graph over part ids induced by a partition; may be cyclic."""
@@ -205,21 +211,14 @@ class QuotientGraph:
     weights: tuple[int, ...]
     edge_costs: dict
 
-    def successors(self, s: int) -> list[int]:
-        return sorted(t for (a, t) in self.edge_costs if a == s)
-
     def find_cycle(self):
         """Return one cycle as a part-id sequence, or None if acyclic."""
-        succ = [[] for _ in range(self.k)]
-        pred = [[] for _ in range(self.k)]
-        indeg = [0] * self.k
-        for (s, t) in self.edge_costs:
-            succ[s].append(t)
-            pred[t].append(s)
-            indeg[t] += 1
-        order = _kahn(self.k, succ, indeg)
+        order = part_order(self.k, self.edge_costs)
         if len(order) == self.k:
             return None
+        pred = [[] for _ in range(self.k)]
+        for (s, t) in self.edge_costs:
+            pred[t].append(s)
         remaining = set(range(self.k)) - set(order)
         return _extract_cycle(remaining, pred)
 

@@ -23,7 +23,9 @@ class CycleDetectedError(GraphError):
         super().__init__("directed cycle: " + " -> ".join(map(str, self.cycle)))
 
 
-class GraphParseError(DagPartError):
+class ParseError(DagPartError):
+    """Malformed input text; line_no is the 1-based line, when known."""
+
     def __init__(self, message, line_no=None):
         self.line_no = line_no
         if line_no is not None:
@@ -31,12 +33,12 @@ class GraphParseError(DagPartError):
         super().__init__(message)
 
 
-class CircuitParseError(DagPartError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class GraphParseError(ParseError):
+    pass
+
+
+class CircuitParseError(ParseError):
+    pass
 
 
 class PartitionArityMismatchError(DagPartError):
@@ -55,12 +57,8 @@ class UnrepresentableCoefficientError(DagPartError):
     pass
 
 
-class SolutionParseError(DagPartError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+class SolutionParseError(ParseError):
+    pass
 
 
 class NonIntegralValueError(DagPartError):

@@ -6,9 +6,9 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .dag import Dag
+from .dag import Dag, part_order
 from .errors import InvalidKError, InvalidWarmStartError, TooLargeError
-from .partition import Partition, balance_bound, edge_cut, validate
+from .partition import Partition, balance_bound, validate
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -35,24 +35,6 @@ class SolveResult:
     partition: Partition | None
     cut: int | None
     nodes_explored: int
-    bound: int | None
-
-    @property
-    def best(self):
-        if self.partition is None:
-            return None
-        return (self.partition, self.cut)
-
-
-def _qubit_masks(nq):
-    masks = []
-    for row in nq:
-        mask = 0
-        for q, flag in enumerate(row):
-            if flag:
-                mask |= 1 << q
-        masks.append(mask)
-    return masks
 
 
 def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
@@ -61,15 +43,15 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
 
     This is the independent oracle: feasibility is checked directly from
     the definitions (balance, quotient acyclicity, qubit capacity), not via
-    any search-space restriction.  Lexicographically smallest assignment
-    wins ties.
+    any search-space restriction; nq, when given, holds one qubit bitmask
+    per vertex and lm caps each part's qubit count.  Lexicographically
+    smallest assignment wins ties.
     """
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
     if k > 1 and g.n * (k - 1).bit_length() > guard_bits:
         raise TooLargeError(f"k^n too large to enumerate (n={g.n}, k={k})")
     bound = balance_bound(g, k, eps)
-    masks = _qubit_masks(nq) if nq is not None else None
     edges = g.edges
     weights = g.w
     best_cut = None
@@ -95,44 +77,19 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
                 adjacency.add((su, sv))
         if best_cut is not None and cut >= best_cut:
             continue
-        if not _parts_acyclic(k, adjacency):
+        if len(part_order(k, adjacency)) < k:
             continue
-        if masks is not None:
-            capacity_ok = True
-            for s in range(k):
-                used = 0
-                for i, si in enumerate(assignment):
-                    if si == s:
-                        used |= masks[i]
-                if used.bit_count() > lm:
-                    capacity_ok = False
-                    break
-            if not capacity_ok:
+        if nq is not None:
+            used = [0] * k
+            for i, s in enumerate(assignment):
+                used[s] |= nq[i]
+            if any(mask.bit_count() > lm for mask in used):
                 continue
         best_cut = cut
         best_assignment = assignment
     if best_assignment is None:
-        return SolveResult(INFEASIBLE, None, None, nodes, None)
-    return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut,
-                       nodes, best_cut)
-
-
-def _parts_acyclic(k: int, adjacency) -> bool:
-    succ = [[] for _ in range(k)]
-    indeg = [0] * k
-    for s, t in adjacency:
-        succ[s].append(t)
-        indeg[t] += 1
-    stack = [s for s in range(k) if indeg[s] == 0]
-    seen = 0
-    while stack:
-        s = stack.pop()
-        seen += 1
-        for t in succ[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                stack.append(t)
-    return seen == k
+        return SolveResult(INFEASIBLE, None, None, nodes)
+    return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)
 
 
 def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
@@ -150,7 +107,6 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         raise InvalidKError(f"k must be >= 1, got {k}")
     budget = budget or SolveBudget()
     bound = balance_bound(g, k, eps)
-    masks = _qubit_masks(nq) if nq is not None else None
 
     best_cut = None
     best_assignment = None
@@ -159,11 +115,11 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         if not report.feasible:
             raise InvalidWarmStartError(
                 "warm start partition is infeasible: " + "; ".join(report.violations))
-        if masks is not None:
+        if nq is not None:
             for s, members in enumerate(warm.parts()):
                 used = 0
                 for i in members:
-                    used |= masks[i]
+                    used |= nq[i]
                 if used.bit_count() > lm:
                     raise InvalidWarmStartError(
                         f"warm start part {s} exceeds qubit capacity {lm}")
@@ -176,7 +132,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     weights = g.w
     part_of = [-1] * g.n
     part_weights = [0] * k
-    part_masks = [0] * k if masks is not None else None
+    part_masks = [0] * k if nq is not None else None
     nodes = 0
     stopped = False
     deadline = (time.monotonic() + budget.max_time
@@ -218,7 +174,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
             if best_cut is not None and new_cut >= best_cut:
                 continue
             if part_masks is not None:
-                new_mask = part_masks[s] | masks[v]
+                new_mask = part_masks[s] | nq[v]
                 if new_mask.bit_count() > lm:
                     continue
                 added[s] = part_masks[s]
@@ -238,8 +194,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     if stopped:
         partition = (Partition(best_assignment, k)
                      if best_assignment is not None else None)
-        return SolveResult(STOPPED, partition, best_cut, nodes, 0)
+        return SolveResult(STOPPED, partition, best_cut, nodes)
     if best_assignment is None:
-        return SolveResult(INFEASIBLE, None, None, nodes, None)
-    return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut,
-                       nodes, best_cut)
+        return SolveResult(INFEASIBLE, None, None, nodes)
+    return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .dag import Dag, mask_vertices, quotient_graph, _kahn
+from .dag import Dag, mask_vertices, part_order, quotient_graph
 from .errors import (
     AmbiguousAssignmentError,
     InvalidKError,
@@ -404,6 +404,9 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
                   strategy: str = "incremental") -> LinearModel:
     """Acyclic partitioning with a per-part unique-qubit cap.
 
+    nq holds one qubit bitmask per vertex (bit q set iff the vertex touches
+    qubit q), as `circuit_to_dag` returns it.
+
     strategy "incremental" emits the model for the given k only; the search
     over k lives in the circuit driver.  strategy "bigm" adds part-used
     indicators weighted by M = 1 + total edge cost so that minimizing part
@@ -413,10 +416,10 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     if strategy not in ("incremental", "bigm"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(nq) != g.n:
-        raise ValueError(f"NQ has {len(nq)} rows, graph has {g.n} vertices")
-    n_qubits = len(nq[0]) if nq else 0
-    for i, row in enumerate(nq):
-        if sum(1 for flag in row if flag) > lm:
+        raise ValueError(f"NQ has {len(nq)} masks, graph has {g.n} vertices")
+    n_qubits = max((mask.bit_length() for mask in nq), default=0)
+    for i, mask in enumerate(nq):
+        if mask.bit_count() > lm:
             raise QubitCapacityInfeasibleError(
                 f"vertex {i} touches more than L_m={lm} qubits")
     k = opts.k
@@ -427,11 +430,10 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
         for q in range(n_qubits):
             m.add_binary(_pq(s, q))
     for i in range(g.n):
-        for q in range(n_qubits):
-            if nq[i][q]:
-                for s in range(k):
-                    m.add_constraint(f"qubit_{i}_{q}_{s}",
-                                     [(1, _x(i, s)), (-1, _pq(s, q))], "<=", 0)
+        for q in mask_vertices(nq[i]):
+            for s in range(k):
+                m.add_constraint(f"qubit_{i}_{q}_{s}",
+                                 [(1, _x(i, s)), (-1, _pq(s, q))], "<=", 0)
     for s in range(k):
         m.add_constraint(f"capacity_{s}",
                          [(1, _pq(s, q)) for q in range(n_qubits)], "<=", lm)
@@ -450,8 +452,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     else:
         m.set_objective(MINIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
     _base_meta(m, "quantum", g, opts, bound, MIN_CUT)
-    m.meta.update({"nq": tuple(tuple(int(bool(f)) for f in row) for row in nq),
-                   "lm": lm, "strategy": strategy})
+    m.meta.update({"nq": tuple(nq), "lm": lm, "strategy": strategy})
     return m
 
 
@@ -472,13 +473,7 @@ def build_formulation(name: str, g: Dag, opts: BuildOptions,
 
 def _quotient_levels(g: Dag, p: Partition):
     """Kahn positions of parts in the quotient graph, or None if cyclic."""
-    quotient = quotient_graph(g, p)
-    succ = [[] for _ in range(p.k)]
-    indeg = [0] * p.k
-    for (s, t) in quotient.edge_costs:
-        succ[s].append(t)
-        indeg[t] += 1
-    order = _kahn(p.k, succ, indeg)
+    order = part_order(p.k, quotient_graph(g, p).edge_costs)
     if len(order) < p.k:
         return None
     level = [0] * p.k
@@ -523,7 +518,7 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
             out[var.name] = levels[int(fields[1])]
         elif tag == "pq":
             s, q = int(fields[1]), int(fields[2])
-            out[var.name] = int(any(part[i] == s and nq[i][q]
+            out[var.name] = int(any(part[i] == s and nq[i] >> q & 1
                                     for i in range(g.n)))
         elif tag == "u":
             s = int(fields[1])

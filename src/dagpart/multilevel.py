@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dag import Dag, TopoOrder
+from .dag import Dag
 from .errors import InfeasibleInstanceError, InvalidProjectionError
-from .exact import INFEASIBLE, OPTIMAL, SolveBudget, branch_and_bound
+from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .formulations import BuildOptions, build_proposed, decode_partition
 from .model import read_solution, write_lp
 from .partition import Partition, balance_bound
@@ -21,7 +21,6 @@ class CoarseningLevel:
 
     graph: Dag
     mapping: tuple[int, ...]
-    order: TopoOrder
     skipped_checks: int = 0
 
 
@@ -97,7 +96,7 @@ def coarsen(g: Dag, target_n: int,
         if chosen is None:
             break
         coarse, mapping = _contract(current, *chosen)
-        levels.append(CoarseningLevel(coarse, mapping, coarse.topo, skipped))
+        levels.append(CoarseningLevel(coarse, mapping, skipped))
         current = coarse
     return levels
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dag import Dag, quotient_graph
+from .dag import Dag, part_order, quotient_graph
 from .errors import InvalidKError
 
 
@@ -140,22 +140,13 @@ def renumber_topologically(g: Dag, assignment: Sequence[int], k: int) -> Partiti
     """Relabel part ids along a topological order of the quotient graph.
 
     Requires the partition to be acyclic; part ids then satisfy
-    part(u) <= part(v) for every edge (u, v).  Empty parts keep relative
-    order at the end.
+    part(u) <= part(v) for every edge (u, v).  Parts are numbered in Kahn
+    order, the smallest ready old id first, empty parts included.
     """
     p = Partition(tuple(assignment), k)
-    quotient = quotient_graph(g, p)
-    cycle = quotient.find_cycle()
-    if cycle is not None:
+    order = part_order(k, quotient_graph(g, p).edge_costs)
+    if len(order) < k:
         raise ValueError("cannot renumber a cyclic partition topologically")
-    succ = [[] for _ in range(k)]
-    indeg = [0] * k
-    for (s, t) in quotient.edge_costs:
-        succ[s].append(t)
-        indeg[t] += 1
-    from .dag import _kahn  # local import to avoid exposing the helper
-
-    order = _kahn(k, succ, indeg)
     new_id = [0] * k
     for idx, s in enumerate(order):
         new_id[s] = idx

@@ -66,7 +66,8 @@ def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
     entry/exit vertices default to 0 so balance reflects computational
     gates only.
 
-    Returns (dag, nq) where nq is the vertex-by-qubit incidence matrix.
+    Returns (dag, nq) where nq[v] is vertex v's qubit bitmask: bit q is set
+    iff v touches qubit q (qubits numbered in first-appearance order).
     """
     if not c.gates:
         raise EmptyCircuitError("circuit has no gates")
@@ -78,7 +79,7 @@ def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
     exit_ = lambda q: n_gates + n_qubits + q
 
     weights = [1] * n_gates + [entry_exit_weight] * (2 * n_qubits)
-    nq = [[0] * n_qubits for _ in range(n)]
+    nq = [0] * n
     last_use = [entry(q) for q in range(n_qubits)]
     costs: dict[tuple[int, int], int] = {}  # first-use order fixes edge order
     for gate_id, gate in enumerate(c.gates):
@@ -86,29 +87,27 @@ def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
             if q_name not in qubit_index:
                 raise UnknownQubitError(f"gate uses undeclared qubit {q_name!r}")
             q = qubit_index[q_name]
-            nq[gate_id][q] = 1
+            nq[gate_id] |= 1 << q
             key = (last_use[q], gate_id)
             costs[key] = costs.get(key, 0) + 1
             last_use[q] = gate_id
     for q in range(n_qubits):
-        nq[entry(q)][q] = 1
-        nq[exit_(q)][q] = 1
+        nq[entry(q)] = nq[exit_(q)] = 1 << q
         costs[(last_use[q], exit_(q))] = 1
     edges = [(u, v, cost) for (u, v), cost in costs.items()]
-    return Dag(weights, edges), tuple(tuple(row) for row in nq)
+    return Dag(weights, edges), tuple(nq)
 
 
 def unique_qubits(nq, vertices) -> int:
-    """Number of qubit columns with at least one 1 among the given vertices."""
-    if not nq:
-        return 0
-    n_qubits = len(nq[0])
-    return sum(1 for q in range(n_qubits)
-               if any(nq[i][q] for i in vertices))
+    """Number of distinct qubits touched by the given vertices."""
+    used = 0
+    for i in vertices:
+        used |= nq[i]
+    return used.bit_count()
 
 
 def max_gate_arity(nq) -> int:
-    return max((sum(row) for row in nq), default=0)
+    return max((mask.bit_count() for mask in nq), default=0)
 
 
 def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",

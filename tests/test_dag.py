@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dagpart import Dag, Partition, quotient_graph, validate_dag
+from dagpart import Dag, Partition, quotient_graph
 from dagpart.errors import (
     CycleDetectedError,
     DuplicateEdgeError,
@@ -61,11 +61,6 @@ def test_reachability():
     assert g.path_nodes(0, 3) == frozenset({1, 2})
     assert g.path_nodes(1, 2) == frozenset()
     assert g.path_nodes(0, 0) == frozenset()
-
-
-def test_validate_dag_function():
-    topo = validate_dag([1, 1, 1], [(0, 1, 1), (1, 2, 1)])
-    assert topo.order == (0, 1, 2)
 
 
 def test_quotient_graph_acyclic():

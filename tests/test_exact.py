@@ -81,7 +81,7 @@ def test_bnb_rejects_infeasible_warm_start():
 
 def test_bnb_rejects_warm_start_breaking_qubit_cap():
     g = chain(3)
-    nq = ((1, 0), (1, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10)
     warm = Partition((0, 0, 0), 1)
     with pytest.raises(InvalidWarmStartError):
         branch_and_bound(g, 1, eps=3, warm=warm, nq=nq, lm=1)
@@ -111,7 +111,7 @@ def test_bnb_time_budget(rng):
 
 def test_qubit_capped_search():
     g = chain(4)
-    nq = ((1, 0), (1, 1), (0, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10, 0b10)
     a = brute_force(g, 2, eps="1", nq=nq, lm=1)
     b = branch_and_bound(g, 2, eps="1", nq=nq, lm=1)
     # only split {0}{1,2,3} keeps each part on one qubit... part {1,2,3}
@@ -123,7 +123,7 @@ def test_qubit_capped_search():
 
 def test_engines_agree_with_qubit_cap(rng):
     g = chain(4)
-    nq = ((1, 0), (1, 1), (0, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10, 0b10)
     for k in (1, 2, 3):
         a = brute_force(g, k, eps="2", nq=nq, lm=2)
         b = branch_and_bound(g, k, eps="2", nq=nq, lm=2)

@@ -206,7 +206,7 @@ def test_exhaustive_optimum_infeasible():
 
 def test_quantum_model_shapes():
     g = chain(3)
-    nq = ((1, 0), (1, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10)
     m = build_quantum(g, BuildOptions(k=2), nq, lm=2)
     names = {c.name for c in m.constraints}
     assert "qubit_0_0_0" in names and "qubit_1_1_1" in names
@@ -217,7 +217,7 @@ def test_quantum_model_shapes():
 
 def test_quantum_bigm_objective_dominates():
     g = chain(3)
-    nq = ((1, 0), (1, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10)
     m = build_quantum(g, BuildOptions(k=3), nq, lm=2, strategy="bigm")
     assert m.meta["big_m"] == 1 + g.total_cost
     assert m.has_var("u_0") and m.has_var("u_2")
@@ -227,14 +227,14 @@ def test_quantum_bigm_objective_dominates():
 
 def test_quantum_rejects_oversized_gate():
     g = chain(2)
-    nq = ((1, 1, 1), (1, 0, 0))
+    nq = (0b111, 0b001)
     with pytest.raises(QubitCapacityInfeasibleError):
         build_quantum(g, BuildOptions(k=2), nq, lm=2)
 
 
 def test_quantum_canonical_capacity_violation_detected():
     g = chain(3)
-    nq = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    nq = (0b001, 0b010, 0b100)
     m = build_quantum(g, BuildOptions(k=1, eps=3), nq, lm=2)
     res = evaluate(m, canonical_assignment(m, g, Partition((0, 0, 0), 1)))
     assert not res.feasible

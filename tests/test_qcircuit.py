@@ -40,8 +40,8 @@ def test_circuit_to_dag_shape():
     # per-qubit chains: q0 entry->h->cx01->exit (3 edges),
     # q1 entry->cx01->cx12->exit (3), q2 entry->cx12->exit (2)
     assert g.m == 8
-    assert nq[1] == (1, 1, 0)     # cx q0 q1
-    assert nq[3] == (1, 0, 0)     # q0 entry
+    assert nq[1] == 0b011         # cx q0 q1
+    assert nq[3] == 0b001         # q0 entry
     assert max_gate_arity(nq) == 2
 
 
@@ -65,7 +65,7 @@ def test_empty_circuit_rejected():
 
 
 def test_unique_qubits():
-    nq = ((1, 0), (1, 1), (0, 1))
+    nq = (0b01, 0b11, 0b10)
     assert unique_qubits(nq, [0]) == 1
     assert unique_qubits(nq, [0, 2]) == 2
     assert unique_qubits(nq, []) == 0
