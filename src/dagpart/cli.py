@@ -65,7 +65,10 @@ def _emit(payload: dict) -> None:
 
 
 def _eps(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def cmd_check(args) -> int:
@@ -175,7 +178,7 @@ def cmd_quantum(args) -> int:
         circuit = parse_circuit(fh.read())
     g, nq = circuit_to_dag(circuit)
     if args.strategy == "bigm":
-        k_cap = args.k if args.k else g.n
+        k_cap = args.k if args.k is not None else g.n
         model = build_quantum(g, BuildOptions(k=k_cap, eps=args.eps), nq,
                               args.lm, strategy="bigm")
         if not args.emit_lp:

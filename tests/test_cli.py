@@ -271,3 +271,22 @@ def test_quantum_circuit_parse_error_exit_2(capsys, tmp_path):
     circuit.write_text("h\n")
     code, _, _ = run(capsys, "quantum", "--circuit", str(circuit), "--lm", "2")
     assert code == 2
+
+
+def test_eps_zero_denominator_exit_2(capsys, graph_file):
+    code, payload, err = run(capsys, "partition", "--graph", graph_file,
+                             "--k", "2", "--eps", "1/0")
+    assert code == 2 and payload is None
+    assert "zero denominator" in err
+
+
+def test_quantum_bigm_k_zero_exit_2(capsys, tmp_path):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(GHZ)
+    lp = tmp_path / "q.lp"
+    code, payload, err = run(capsys, "quantum", "--circuit", str(circuit),
+                             "--lm", "2", "--strategy", "bigm",
+                             "--k", "0", "--emit-lp", str(lp))
+    assert code == 2 and payload is None
+    assert "k must be >= 1" in err
+    assert not lp.exists()
