@@ -1,15 +1,17 @@
 """Seeded mutation fuzz of the CLI.
 
-Valid `.dag`, warm-start `.part`, `.sol` and circuit texts are mutated a
-few characters at a time and fed through `cli.main`, together with a fixed
-list of good and bad `--eps`/`--k` strings.  Every call must return one of
-the documented exit codes 0-4; no exception may escape `main`.
+Valid `.dag`, warm-start `.part`, `.sol` and circuit texts are mutated by
+a few character, token or line edits and fed through `cli.main` with valid
+options; separately, every pair of good and bad `--eps`/`--k` strings, and
+every `--lm` string, runs on the valid texts.  Every call must return one
+of the documented exit codes 0-4; no exception may escape `main`.
 """
 
 import random
 
 import pytest
 
+from dagpart import FORMULATION_NAMES
 from dagpart.cli import main
 
 EXIT_CODES = (0, 1, 2, 3, 4)
@@ -25,8 +27,6 @@ GOOD_LM = ["1", "2", "3"]
 EPS = GOOD_EPS + ["1/0", "-1", "0.5", "nan", "inf", "1e1", "x", "", "3/-2", "1_0"]
 K = GOOD_K + ["0", "-1", "x", "", "2.5", "0x2"]
 LM = GOOD_LM + ["0", "-1", "x"]
-FORMULATIONS = ["undirected", "nossack", "albareda-base", "albareda-extended",
-                "albareda-final", "proposed"]
 
 # digits, signs and separators of every format, plus letters of their
 # keywords and variable names, and one non-ASCII character
@@ -70,7 +70,7 @@ def mutate(rng: random.Random, text: str) -> str:
 def check_main(capsys, argv, texts):
     try:
         code = main(argv)
-    except BaseException as exc:  # SystemExit included: main must return
+    except (Exception, SystemExit) as exc:  # main must return, not exit
         pytest.fail(f"main({argv}) raised {exc!r} on inputs {texts!r}")
     capsys.readouterr()
     assert code in EXIT_CODES, (argv, texts, code)
@@ -92,7 +92,7 @@ def test_fuzz_dag_text(capsys, tmp_path):
                             "--eps", eps, "--engine", rng.choice(["brute", "bnb"]),
                             "--budget-nodes", "2000"], [text])
         check_main(capsys, ["emit-lp", "--graph", graph, "--k", rng.choice(GOOD_K),
-                            "--eps", eps, "--formulation", rng.choice(FORMULATIONS),
+                            "--eps", eps, "--formulation", rng.choice(FORMULATION_NAMES),
                             "--out", str(tmp_path / "m.lp")], [text])
         check_main(capsys, ["multilevel", "--graph", graph, "--k", rng.choice(GOOD_K),
                             "--eps", eps, "--target-n", "2",
@@ -118,7 +118,7 @@ def test_fuzz_solution_text(capsys, tmp_path):
         sol = write(tmp_path / "m.sol", text)
         check_main(capsys, ["ingest-solution", "--graph", graph,
                             "--k", rng.choice(GOOD_K), "--eps", rng.choice(GOOD_EPS),
-                            "--formulation", rng.choice(FORMULATIONS),
+                            "--formulation", rng.choice(FORMULATION_NAMES),
                             "--solution", sol], [text])
 
 
