@@ -1,3 +1,7 @@
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
 from dagpart import (
@@ -7,6 +11,7 @@ from dagpart import (
     Partition,
     STOPPED,
     SolveBudget,
+    balance_bound,
     branch_and_bound,
     brute_force,
     validate,
@@ -130,3 +135,106 @@ def test_engines_agree_with_qubit_cap(rng):
         assert a.status == b.status
         if a.status == OPTIMAL:
             assert a.cut == b.cut
+
+
+# --- pinned search outputs -------------------------------------------------
+# sha256 over (status, cut, assignment, nodes_explored) of every solve in a
+# group.  The search's vertex order, part order, tie-breaks and budget
+# accounting all reach these values, so a rewrite of the loop that changes
+# any of them shows up here.
+
+def _layered_dag(rng, n: int) -> Dag:
+    """Layers of 2-4 vertices, each vertex feeding 1-2 vertices of the next
+    layer plus an occasional skip edge; vertex ids are shuffled."""
+    layers, v = [], 0
+    while v < n:
+        width = min(rng.randint(2, 4), n - v)
+        layers.append(list(range(v, v + width)))
+        v += width
+    edges = set()
+    for idx, layer in enumerate(layers[:-1]):
+        for u in layer:
+            for t in rng.sample(layers[idx + 1], min(2, len(layers[idx + 1]))):
+                edges.add((u, t))
+            if idx + 2 < len(layers) and rng.random() < 0.3:
+                edges.add((u, rng.choice(layers[idx + 2])))
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    weights = [0] * n
+    for u in range(n):
+        weights[relabel[u]] = rng.randint(1, 3)
+    return Dag(weights, [(relabel[u], relabel[t], rng.randint(1, 3))
+                         for u, t in sorted(edges)])
+
+
+def _pin_graphs():
+    rng = random.Random(515)
+    graphs = []
+    for n in (8, 10, 12, 14, 16):
+        graphs.append(random_dag(rng, n, p=0.3))
+        graphs.append(_layered_dag(rng, n))
+    return graphs
+
+
+def _chunk_warm(g: Dag, k: int, eps):
+    """Consecutive chunks of the topological order, each filled to the
+    balance bound; None when k chunks do not hold every vertex."""
+    bound = balance_bound(g, k, eps)
+    assignment = [0] * g.n
+    s, load = 0, 0
+    for v in g.topo.order:
+        if load + g.w[v] > bound:
+            s, load = s + 1, 0
+        if s == k:
+            return None
+        assignment[v] = s
+        load += g.w[v]
+    return Partition(tuple(assignment), k)
+
+
+def _pin_cases(group: str):
+    rng = random.Random(2718)
+    for idx, g in enumerate(_pin_graphs()):
+        for k in (2, 3, 4):
+            for eps in (0, Fraction(1, 10)):
+                if group == "plain":
+                    yield g, k, eps, {}
+                elif group == "warm":
+                    warm = _chunk_warm(g, k, eps)
+                    if warm is not None:
+                        yield g, k, eps, {"warm": warm}
+                elif group == "budget":
+                    warm = _chunk_warm(g, k, eps)
+                    for max_nodes in (0, 1, 7, 100, 2000):
+                        budget = SolveBudget(max_nodes=max_nodes)
+                        yield g, k, eps, {"budget": budget}
+                        if warm is not None:
+                            yield g, k, eps, {"budget": budget, "warm": warm}
+                elif group == "qubits" and g.n <= 12:
+                    nq = tuple(1 << rng.randrange(4) | 1 << rng.randrange(4)
+                               for _ in range(g.n))
+                    for lm in (2, 3):
+                        yield g, k, eps + 1, {"nq": nq, "lm": lm}
+                        yield g, k, eps + 1, {"nq": nq, "lm": lm,
+                                              "budget": SolveBudget(max_nodes=100)}
+
+
+BNB_PIN_SHA256 = {
+    "plain": "d5795be6ffa66a89e00321bdbc0433864abd80158549710894067f2796e328b6",
+    "warm": "a05d9c2a5f60a67c74b9c22e108efbf91981796e5e0c97f2308206dc4e04516e",
+    "budget": "9a21e2f36667b974929daf150137b19c80cf863b85d22d073ffd7ff3d489d902",
+    "qubits": "35f7cb01479f613724b888f4a9d13fea6aa39cf3d173dfd71699793a4f19e63d",
+}
+
+
+@pytest.mark.parametrize("group", sorted(BNB_PIN_SHA256))
+def test_bnb_outputs_pinned(group):
+    digest = hashlib.sha256()
+    count = 0
+    for g, k, eps, kwargs in _pin_cases(group):
+        r = branch_and_bound(g, k, eps, **kwargs)
+        assignment = r.partition.assignment if r.partition is not None else None
+        digest.update(repr((r.status, r.cut, assignment, r.nodes_explored)).encode())
+        count += 1
+    assert count > 0
+    assert digest.hexdigest() == BNB_PIN_SHA256[group]
