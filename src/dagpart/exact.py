@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -92,23 +93,41 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
     return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)
 
 
+class _Stopped(Exception):
+    """Unwinds the search when the budget runs out, carrying the node count."""
+
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.nodes = nodes
+
+
 def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                      budget: SolveBudget | None = None, nq=None,
                      lm: int | None = None) -> SolveResult:
     """Exact search over part assignments restricted by the topological rule.
 
     Vertices are assigned in the deterministic topological order; a vertex
-    may only take a part index at least the maximum index among its
-    predecessors.  Every acyclic partition admits a topologically sorted
-    part numbering, so the restriction loses no optimum while collapsing
-    part-relabeling symmetry.
+    may only take a part index at least s_min, the maximum index among its
+    predecessors, tried in increasing order.  Every acyclic partition admits
+    a topologically sorted part numbering, so the restriction loses no
+    optimum while collapsing part-relabeling symmetry.  Because every
+    predecessor sits in a part <= s_min, a child's cut grows by the total
+    predecessor cost minus the cost from part s_min when s == s_min, and by
+    the whole total when s > s_min: one pass over the predecessors per
+    vertex, O(1) per child.
+
+    Each candidate (vertex, part) counts as one node, pruned or not.  A
+    child is pruned unless its cut is strictly below the incumbent, so a
+    warm start is kept on ties.  The search stops with STOPPED when the node
+    count exceeds budget.max_nodes (it then reports max_nodes + 1 nodes), or
+    when the deadline has passed at a node count that is a multiple of 256.
     """
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
     budget = budget or SolveBudget()
     bound = balance_bound(g, k, eps)
 
-    best_cut = None
+    best_cut = math.inf
     best_assignment = None
     if warm is not None:
         report = validate(g, warm, k, eps)
@@ -126,75 +145,64 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         best_cut = report.cut
         best_assignment = warm.assignment
 
-    order = g.topo.order
-    pred = g.pred
+    # One entry per depth: (vertex, weight, ((pred, edge cost), ...), total cost).
     cost = g.cost
-    weights = g.w
-    part_of = [-1] * g.n
+    plan = []
+    for v in g.topo.order:
+        preds = tuple((u, cost[(u, v)]) for u in g.pred[v])
+        plan.append((v, g.w[v], preds, sum(c for _, c in preds)))
+    n = g.n
+    part_of = [-1] * n
     part_weights = [0] * k
     part_masks = [0] * k if nq is not None else None
-    nodes = 0
-    stopped = False
+    limit = budget.max_nodes if budget.max_nodes is not None else math.inf
     deadline = (time.monotonic() + budget.max_time
-                if budget.max_time is not None else None)
+                if budget.max_time is not None else math.inf)
+    monotonic = time.monotonic
 
-    def over_budget() -> bool:
-        if budget.max_nodes is not None and nodes > budget.max_nodes:
-            return True
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            return True
-        return False
-
-    def descend(depth: int, cut: int) -> None:
-        nonlocal best_cut, best_assignment, nodes, stopped
-        if stopped:
-            return
-        if depth == g.n:
-            if best_cut is None or cut < best_cut:
+    def descend(depth: int, cut: int, nodes: int) -> int:
+        nonlocal best_cut, best_assignment
+        if depth == n:
+            if cut < best_cut:
                 best_cut = cut
                 best_assignment = tuple(part_of)
-            return
-        v = order[depth]
-        s_min = 0
-        added = {}
-        for u in pred[v]:
-            if part_of[u] > s_min:
-                s_min = part_of[u]
+            return nodes
+        v, weight, preds, total = plan[depth]
+        s_min = same = 0
+        for u, c in preds:
+            s = part_of[u]
+            if s > s_min:
+                s_min, same = s, c
+            elif s == s_min:
+                same += c
+        cut_above = cut + total  # the child's cut for every s > s_min
+        child_cut = cut_above - same
         for s in range(s_min, k):
             nodes += 1
-            if over_budget():
-                stopped = True
-                return
-            if part_weights[s] + weights[v] > bound:
-                continue
-            new_cut = cut
-            for u in pred[v]:
-                if part_of[u] != s:
-                    new_cut += cost[(u, v)]
-            if best_cut is not None and new_cut >= best_cut:
-                continue
-            if part_masks is not None:
-                new_mask = part_masks[s] | nq[v]
-                if new_mask.bit_count() > lm:
-                    continue
-                added[s] = part_masks[s]
-                part_masks[s] = new_mask
-            part_of[v] = s
-            part_weights[s] += weights[v]
-            descend(depth + 1, new_cut)
-            part_weights[s] -= weights[v]
-            part_of[v] = -1
-            if part_masks is not None:
-                part_masks[s] = added[s]
-            if stopped:
-                return
+            if nodes > limit or (nodes & 255 == 0 and monotonic() > deadline):
+                raise _Stopped(nodes)
+            if (part_weights[s] + weight <= bound and child_cut < best_cut
+                    and (part_masks is None
+                         or (part_masks[s] | nq[v]).bit_count() <= lm)):
+                if part_masks is not None:
+                    old_mask = part_masks[s]
+                    part_masks[s] = old_mask | nq[v]
+                part_of[v] = s
+                part_weights[s] += weight
+                nodes = descend(depth + 1, child_cut, nodes)
+                part_weights[s] -= weight
+                if part_masks is not None:
+                    part_masks[s] = old_mask
+            child_cut = cut_above
+        return nodes
 
-    descend(0, 0)
-
-    if stopped:
-        partition = (Partition(best_assignment, k)
-                     if best_assignment is not None else None)
-        return SolveResult(STOPPED, partition, best_cut, nodes)
+    try:
+        nodes = descend(0, 0, 0)
+    except _Stopped as stop:
+        if best_assignment is None:
+            return SolveResult(STOPPED, None, None, stop.nodes)
+        return SolveResult(STOPPED, Partition(best_assignment, k), best_cut,
+                           stop.nodes)
     if best_assignment is None:
         return SolveResult(INFEASIBLE, None, None, nodes)
     return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)

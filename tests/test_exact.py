@@ -94,9 +94,19 @@ def test_bnb_rejects_warm_start_breaking_qubit_cap():
 
 def test_bnb_budget_stops():
     g = chain(12)
-    result = branch_and_bound(g, 3, budget=SolveBudget(max_nodes=5))
-    assert result.status == STOPPED
-    assert result.nodes_explored <= 6
+    for max_nodes in (0, 1, 5):
+        result = branch_and_bound(g, 3, budget=SolveBudget(max_nodes=max_nodes))
+        assert result.status == STOPPED
+        assert result.nodes_explored == max_nodes + 1
+
+
+def test_bnb_zero_node_budget_keeps_warm_incumbent():
+    g = chain(12)
+    warm = Partition((0,) * 5 + (1,) * 4 + (2,) * 3, 3)
+    result = branch_and_bound(g, 3, eps=Fraction(1, 4), warm=warm,
+                              budget=SolveBudget(max_nodes=0))
+    assert result.status == STOPPED and result.nodes_explored == 1
+    assert result.partition == warm and result.cut == 2
 
 
 def test_bnb_budget_with_warm_keeps_incumbent():
@@ -109,9 +119,11 @@ def test_bnb_budget_with_warm_keeps_incumbent():
 
 
 def test_bnb_time_budget(rng):
+    # the deadline is read only when the node count is a multiple of 256
     g = random_dag(rng, 14, p=0.3)
     result = branch_and_bound(g, 3, budget=SolveBudget(max_time=0.0))
     assert result.status == STOPPED
+    assert result.nodes_explored > 0 and result.nodes_explored % 256 == 0
 
 
 def test_qubit_capped_search():
