@@ -99,3 +99,7 @@ class InvalidProjectionError(DagPartError):
 
 class NoFeasibleKError(DagPartError):
     pass
+
+
+class BudgetExhaustedError(DagPartError):
+    """A search ran out of its node or time budget before it could decide."""

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 from .dag import Dag
 from .errors import (
+    BudgetExhaustedError,
     CircuitParseError,
     EmptyCircuitError,
     NoFeasibleKError,
     QubitCapacityInfeasibleError,
     UnknownQubitError,
 )
-from .exact import OPTIMAL, SolveBudget, branch_and_bound, brute_force
+from .exact import OPTIMAL, STOPPED, SolveBudget, branch_and_bound, brute_force
 from .partition import Partition
 
 
@@ -116,7 +117,9 @@ def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",
     qubit count at most lm; among those, the minimum cut.
 
     Increments k one by one starting from 1 and stops at the first feasible
-    value.  Returns (k, partition, cut).
+    value.  Returns (k, partition, cut).  Raises BudgetExhaustedError when
+    the budget runs out at some k, since that k is then neither proven
+    infeasible nor solved to optimality.
     """
     if engine not in ("brute", "bnb"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -130,6 +133,9 @@ def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",
             result = branch_and_bound(g, k, eps, budget=budget, nq=nq, lm=lm)
         if result.status == OPTIMAL:
             return k, result.partition, result.cut
+        if result.status == STOPPED:
+            raise BudgetExhaustedError(
+                f"search budget ran out at k={k} after {result.nodes_explored} nodes")
     raise NoFeasibleKError(f"no feasible part count up to k={g.n}")
 
 

@@ -1,7 +1,9 @@
 import pytest
 
-from dagpart import brute_force, circuit_to_dag, min_parts_partition, parse_circuit
+from dagpart import (Dag, SolveBudget, brute_force, circuit_to_dag,
+                     min_parts_partition, parse_circuit)
 from dagpart.errors import (
+    BudgetExhaustedError,
     CircuitParseError,
     EmptyCircuitError,
     NoFeasibleKError,
@@ -83,6 +85,16 @@ def test_min_parts_matches_brute_force_scan():
             break
     assert k == expected_k
     assert all(count <= lm for count in part_qubit_counts(nq, p))
+
+
+def test_min_parts_budget_stop_is_not_infeasible():
+    # unbudgeted, the answer is k=4; at k=2 three nodes decide nothing
+    g = Dag([1] * 8, [(i, i + 1, 1) for i in range(7)])
+    nq = tuple(1 << (i % 4) for i in range(8))
+    k, _, cut = min_parts_partition(g, nq, eps=3, lm=2)
+    assert (k, cut) == (4, 3)
+    with pytest.raises(BudgetExhaustedError, match="k=2"):
+        min_parts_partition(g, nq, eps=3, lm=2, budget=SolveBudget(max_nodes=3))
 
 
 def test_min_parts_capacity_guard():
