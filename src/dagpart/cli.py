@@ -66,9 +66,12 @@ def _emit(payload: dict) -> None:
 
 def _eps(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    if eps < 0:
+        raise argparse.ArgumentTypeError(f"eps must be non-negative, got {text!r}")
+    return eps
 
 
 def cmd_check(args) -> int:

@@ -63,9 +63,12 @@ def balance_bound(g: Dag, k: int, eps) -> int:
     """Per-part weight cap: floor((1+eps) * ceil(W/k)), in exact arithmetic."""
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
+    eps = to_fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
     total = g.total_weight
     ceil_share = -(-total // k)
-    return int((1 + to_fraction(eps)) * ceil_share // 1)
+    return int((1 + eps) * ceil_share // 1)
 
 
 def edge_cut(g: Dag, p: Partition) -> int:

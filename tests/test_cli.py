@@ -280,6 +280,13 @@ def test_eps_zero_denominator_exit_2(capsys, graph_file):
     assert "zero denominator" in err
 
 
+def test_negative_eps_exit_2(capsys, graph_file):
+    code, payload, err = run(capsys, "partition", "--graph", graph_file,
+                             "--k", "2", "--eps=-3/2")
+    assert code == 2 and payload is None
+    assert "non-negative" in err
+
+
 def test_quantum_bigm_k_zero_exit_2(capsys, tmp_path):
     circuit = tmp_path / "c.qc"
     circuit.write_text(GHZ)

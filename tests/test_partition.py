@@ -47,6 +47,13 @@ def test_balance_bound(weights, k, eps, expected):
     assert balance_bound(g, k, eps) == expected
 
 
+def test_balance_bound_rejects_negative_eps():
+    g = Dag([1, 1, 1, 1], [])
+    for eps in (-1, "-3/2", Fraction(-1, 10), -0.5):
+        with pytest.raises(ValueError):
+            balance_bound(g, 2, eps)
+
+
 def test_edge_cut():
     g = diamond()
     assert edge_cut(g, Partition((0, 0, 1, 1), 2)) == 2
