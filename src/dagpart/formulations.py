@@ -482,6 +482,24 @@ def _quotient_levels(g: Dag, p: Partition):
     return level
 
 
+# Integer fields that canonical_assignment reads after each variable's tag.
+_ENCODED_FIELDS = {"x": 2, "z": 2, "y": 2, "pi": 1, "pq": 2, "u": 1}
+
+
+def _encodable_variables(m: LinearModel) -> list[tuple]:
+    """(name, tag, first field, second field or None) for every variable."""
+    out = []
+    for var in m.variables:
+        tag, *fields = var.name.split("_")
+        width = _ENCODED_FIELDS.get(tag)
+        if width is None:
+            raise ValueError(
+                f"cannot encode variable {var.name!r} for {m.meta['kind']}")
+        ints = [int(f) for f in fields[:width]] + [None] * (2 - width)
+        out.append((var.name, tag, *ints))
+    return out
+
+
 def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
     """The natural encoding of a partition over the model's variables.
 
@@ -489,7 +507,11 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
     same-part indicator (max-internal models); y as the quotient adjacency;
     pi as a topological part numbering; pq/u from part contents.
     """
-    kind = m.meta["kind"]
+    return _encode(m, g, p, _encodable_variables(m))
+
+
+def _encode(m: LinearModel, g: Dag, p: Partition, variables) -> dict:
+    """canonical_assignment over variables parsed by _encodable_variables."""
     same_part_z = m.meta["convention"] == MAX_INTERNAL
     part = p.assignment
     adjacency = set()
@@ -499,32 +521,23 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
     levels = None
     nq = m.meta.get("nq")
     out: dict[str, int] = {}
-    for var in m.variables:
-        fields = var.name.split("_")
-        tag = fields[0]
+    for name, tag, a, b in variables:
         if tag == "x":
-            i, s = int(fields[1]), int(fields[2])
-            out[var.name] = int(part[i] == s)
+            out[name] = int(part[a] == b)
         elif tag == "z":
-            i, j = int(fields[1]), int(fields[2])
-            same = part[i] == part[j]
-            out[var.name] = int(same if same_part_z else not same)
+            same = part[a] == part[b]
+            out[name] = int(same if same_part_z else not same)
         elif tag == "y":
-            s, t = int(fields[1]), int(fields[2])
-            out[var.name] = int((s, t) in adjacency)
+            out[name] = int((a, b) in adjacency)
         elif tag == "pi":
             if levels is None:
                 levels = _quotient_levels(g, p) or list(range(p.k))
-            out[var.name] = levels[int(fields[1])]
+            out[name] = levels[a]
         elif tag == "pq":
-            s, q = int(fields[1]), int(fields[2])
-            out[var.name] = int(any(part[i] == s and nq[i] >> q & 1
-                                    for i in range(g.n)))
-        elif tag == "u":
-            s = int(fields[1])
-            out[var.name] = int(s in part)
+            out[name] = int(any(part[i] == a and nq[i] >> b & 1
+                                for i in range(g.n)))
         else:
-            raise ValueError(f"cannot encode variable {var.name!r} for {kind}")
+            out[name] = int(a in part)
     return out
 
 
@@ -560,11 +573,12 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag, guard_bits: int = 24):
     if k > 1 and n * (k - 1).bit_length() > guard_bits:
         raise TooLargeError(f"k^n too large for exhaustive search (n={n}, k={k})")
     maximize = m.objective_sense == MAXIMIZE
+    variables = _encodable_variables(m)
     best_obj = None
     best_p = None
     for assignment in product(range(k), repeat=n):
         p = Partition(assignment, k)
-        a = canonical_assignment(m, g, p)
+        a = _encode(m, g, p, variables)
         res = evaluate(m, a, early_exit=True)
         if not res.feasible:
             continue
@@ -574,5 +588,4 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag, guard_bits: int = 24):
             best_p = p
     if best_p is None:
         return None, None
-    canonical = canonical_assignment(m, g, best_p)
-    return assignment_min_cut(m, canonical), best_p
+    return assignment_min_cut(m, _encode(m, g, best_p, variables)), best_p
