@@ -94,11 +94,7 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
 
 
 class _Stopped(Exception):
-    """Unwinds the search when the budget runs out, carrying the node count."""
-
-    def __init__(self, nodes: int):
-        super().__init__(nodes)
-        self.nodes = nodes
+    """Unwinds the search when the budget runs out; args[0] is the node count."""
 
 
 def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
@@ -199,10 +195,10 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     try:
         nodes = descend(0, 0, 0)
     except _Stopped as stop:
+        nodes = stop.args[0]
         if best_assignment is None:
-            return SolveResult(STOPPED, None, None, stop.nodes)
-        return SolveResult(STOPPED, Partition(best_assignment, k), best_cut,
-                           stop.nodes)
+            return SolveResult(STOPPED, None, None, nodes)
+        return SolveResult(STOPPED, Partition(best_assignment, k), best_cut, nodes)
     if best_assignment is None:
         return SolveResult(INFEASIBLE, None, None, nodes)
     return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)

@@ -536,7 +536,7 @@ def _encode(m: LinearModel, g: Dag, p: Partition, variables) -> dict:
         elif tag == "pq":
             out[name] = int(any(part[i] == a and nq[i] >> b & 1
                                 for i in range(g.n)))
-        else:
+        else:  # "u"
             out[name] = int(a in part)
     return out
 
