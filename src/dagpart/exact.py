@@ -194,11 +194,12 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
 
     try:
         nodes = descend(0, 0, 0)
+        status = OPTIMAL if best_assignment is not None else INFEASIBLE
     except _Stopped as stop:
-        nodes = stop.args[0]
-        if best_assignment is None:
-            return SolveResult(STOPPED, None, None, nodes)
-        return SolveResult(STOPPED, Partition(best_assignment, k), best_cut, nodes)
+        nodes, status = stop.args[0], STOPPED
+    # descend reaches itself through its closure cell; break that cycle so
+    # the plan is freed now rather than at the next cyclic collection.
+    del descend
     if best_assignment is None:
-        return SolveResult(INFEASIBLE, None, None, nodes)
-    return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)
+        return SolveResult(status, None, None, nodes)
+    return SolveResult(status, Partition(best_assignment, k), best_cut, nodes)
