@@ -9,6 +9,7 @@ pos[i] < pos[j].
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -485,10 +486,19 @@ def _quotient_levels(g: Dag, p: Partition):
 # Integer fields that canonical_assignment reads after each variable's tag.
 _ENCODED_FIELDS = {"x": 2, "z": 2, "y": 2, "pi": 1, "pq": 2, "u": 1}
 
+# Parsed variable names per model.  Callers encode many partitions of one
+# model (exhaustive_model_optimum encodes all k^n), so each name is split
+# once.  LinearModel only ever appends variables, so a parse that covers
+# every variable is still current.
+_ENCODABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 def _encodable_variables(m: LinearModel) -> list[tuple]:
     """(name, tag, first field, second field or None) for every variable."""
-    out = []
+    parsed = _ENCODABLE.get(m)
+    if parsed is not None and len(parsed) == len(m.variables):
+        return parsed
+    parsed = []
     for var in m.variables:
         tag, *fields = var.name.split("_")
         width = _ENCODED_FIELDS.get(tag)
@@ -496,8 +506,9 @@ def _encodable_variables(m: LinearModel) -> list[tuple]:
             raise ValueError(
                 f"cannot encode variable {var.name!r} for {m.meta['kind']}")
         ints = [int(f) for f in fields[:width]] + [None] * (2 - width)
-        out.append((var.name, tag, *ints))
-    return out
+        parsed.append((var.name, tag, *ints))
+    _ENCODABLE[m] = parsed
+    return parsed
 
 
 def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
@@ -507,11 +518,6 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
     same-part indicator (max-internal models); y as the quotient adjacency;
     pi as a topological part numbering; pq/u from part contents.
     """
-    return _encode(m, g, p, _encodable_variables(m))
-
-
-def _encode(m: LinearModel, g: Dag, p: Partition, variables) -> dict:
-    """canonical_assignment over variables parsed by _encodable_variables."""
     same_part_z = m.meta["convention"] == MAX_INTERNAL
     part = p.assignment
     adjacency = set()
@@ -521,7 +527,7 @@ def _encode(m: LinearModel, g: Dag, p: Partition, variables) -> dict:
     levels = None
     nq = m.meta.get("nq")
     out: dict[str, int] = {}
-    for name, tag, a, b in variables:
+    for name, tag, a, b in _encodable_variables(m):
         if tag == "x":
             out[name] = int(part[a] == b)
         elif tag == "z":
@@ -573,12 +579,11 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag, guard_bits: int = 24):
     if k > 1 and n * (k - 1).bit_length() > guard_bits:
         raise TooLargeError(f"k^n too large for exhaustive search (n={n}, k={k})")
     maximize = m.objective_sense == MAXIMIZE
-    variables = _encodable_variables(m)
     best_obj = None
     best_p = None
     for assignment in product(range(k), repeat=n):
         p = Partition(assignment, k)
-        a = _encode(m, g, p, variables)
+        a = canonical_assignment(m, g, p)
         res = evaluate(m, a, early_exit=True)
         if not res.feasible:
             continue
@@ -588,4 +593,5 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag, guard_bits: int = 24):
             best_p = p
     if best_p is None:
         return None, None
-    return assignment_min_cut(m, _encode(m, g, best_p, variables)), best_p
+    canonical = canonical_assignment(m, g, best_p)
+    return assignment_min_cut(m, canonical), best_p

@@ -156,6 +156,20 @@ def test_canonical_assignment_round_trip():
         assert cut == 2
 
 
+def test_canonical_assignment_sees_variables_added_later():
+    # names are parsed once per model; a variable added afterwards must
+    # still be encoded, and an unknown tag still rejected
+    g = chain(3)
+    m = build_proposed(g, BuildOptions(k=2))
+    p = Partition((0, 0, 1), 2)
+    first = canonical_assignment(m, g, p)
+    m.add_binary("z_0_2")
+    assert canonical_assignment(m, g, p) == {**first, "z_0_2": 1}
+    m.add_binary("w_0")
+    with pytest.raises(ValueError):
+        canonical_assignment(m, g, p)
+
+
 def test_nossack_needs_size_sorted_numbering():
     # part sizes must be non-increasing with the part index for the
     # symmetry constraint; a size-increasing numbering is model-infeasible
