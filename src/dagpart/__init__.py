@@ -4,7 +4,7 @@ Library layout:
 
 - ``dag``           graph container, validation, quotient graphs
 - ``partition``     partitions, balance bound, feasibility validation
-- ``preprocess``    reachability and path-weight tables
+- ``preprocess``    path-weight tables for the Albareda models
 - ``model``         solver-agnostic linear models, LP emission, ingestion
 - ``formulations``  the six integer-programming formulations
 - ``exact``         brute-force oracle and branch-and-bound
@@ -54,7 +54,6 @@ from .partition import (
     validate,
     write_partition_file,
 )
-from .preprocess import PreprocessTables, compute_tables
 from .qcircuit import Circuit, Gate, circuit_to_dag, min_parts_partition, parse_circuit
 
 __version__ = "0.1.0"
@@ -106,8 +105,6 @@ __all__ = [
     "renumber_topologically",
     "validate",
     "write_partition_file",
-    "PreprocessTables",
-    "compute_tables",
     "Circuit",
     "Gate",
     "circuit_to_dag",

@@ -83,6 +83,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    if args.engine == "brute" and (args.warm is not None or args.budget_nodes is not None):
+        raise DagPartError("--engine brute takes neither --warm nor --budget-nodes")
     g = read_dag_file(args.graph)
     warm = None
     if args.warm:
@@ -177,6 +179,8 @@ def cmd_multilevel(args) -> int:
 
 
 def cmd_quantum(args) -> int:
+    if args.strategy == "bigm" and not args.emit_lp:
+        raise DagPartError("--strategy bigm requires --emit-lp PATH")
     with open(args.circuit, "r", encoding="ascii") as fh:
         circuit = parse_circuit(fh.read())
     g, nq = circuit_to_dag(circuit)
@@ -184,8 +188,6 @@ def cmd_quantum(args) -> int:
         k_cap = args.k if args.k is not None else g.n
         model = build_quantum(g, BuildOptions(k=k_cap, eps=args.eps), nq,
                               args.lm, strategy="bigm")
-        if not args.emit_lp:
-            raise DagPartError("--strategy bigm requires --emit-lp PATH")
         with open(args.emit_lp, "w", encoding="ascii") as fh:
             fh.write(write_lp(model))
         if not args.solution:

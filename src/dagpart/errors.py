@@ -49,10 +49,6 @@ class InvalidKError(DagPartError):
     pass
 
 
-class MissingTablesError(DagPartError):
-    pass
-
-
 class UnrepresentableCoefficientError(DagPartError):
     pass
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .model import LinearModel, MAXIMIZE, MINIMIZE, evaluate
 from .partition import Partition, balance_bound, to_fraction
-from .preprocess import PreprocessTables, a_prime_value, compute_tables
+from .preprocess import a_prime_value, compute_A
 
 MIN_CUT = "min_cut"
 MAX_INTERNAL = "max_internal"
@@ -115,7 +115,12 @@ def _in_topo_order(g: Dag, mask: int) -> list[int]:
 
 
 def chained_triples(g: Dag):
-    """Triples (i, j, h) with i->j and j->h reachable, in topological pair order."""
+    """Triples (i, j, h) with i->j and j->h reachable.
+
+    i runs in vertex-id order; for each i, j runs over its descendants in
+    topological order, and h over j's descendants likewise.  `build_nossack`
+    emits its triangle rows in this order, so its LP bytes depend on it.
+    """
     later = [_in_topo_order(g, desc) for desc in g.descendant_masks]
     return [(i, j, h) for i in range(g.n) for j in later[i] for h in later[j]]
 
@@ -255,30 +260,23 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     return m
 
 
-def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None = None,
-                   variant: str = "base", retain_extended: bool = True) -> LinearModel:
+def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearModel:
     """Topological-part-index model with reachability preprocessing.
 
     variant: "base", "extended" (adds heavy-pair z fixing and the valid
-    inequalities gated on the A/A' tables), or "final" (replaces the base
-    topological families with the compact replacement constraints, plus
-    zlink rows tying each same-part z to the x block).
+    inequalities gated on the path-weight table A), or "final" (replaces
+    the base topological families with the compact replacement constraints,
+    plus zlink rows tying each same-part z to the x block).
     """
     _check_k(opts)
     if variant not in ("base", "extended", "final"):
         raise ValueError(f"unknown Albareda variant {variant!r}")
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
-    need_triples = variant in ("extended", "final")
-    if tables is None:
-        tables = compute_tables(g, with_triples=need_triples)
-    a_prime = tables.require_triples() if need_triples else None
-
     pos = g.topo.position
-    alpha = tables.alpha
-    a_tab = tables.A
+    a_tab = compute_A(g)
     pairs = sorted(a_tab.keys(), key=lambda p: (pos[p[0]], pos[p[1]]))
-    triples = [key for key in (a_prime or {})]
+    triples = chained_triples(g) if variant in ("extended", "final") else []
     triples.sort(key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]]))
 
     # z pool per variant: base needs only edge pairs (objective + topo3);
@@ -328,8 +326,6 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
         for i, j in zpairs:
             if (i, j) in a_tab and a_tab[(i, j)] > bound:
                 m.add_constraint(f"fixz_{i}_{j}", [(1, _z(i, j))], "=", 0)
-
-    if (variant == "extended") or (variant == "final" and retain_extended):
         for i, j, l in triples:
             zij, zjl, zil = _z(i, j), _z(j, l), _z(i, l)
             a_ij, a_jl, a_il = a_tab[(i, j)], a_tab[(j, l)], a_tab[(i, l)]
@@ -346,10 +342,6 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
             if a_ij <= bound and a_jl <= bound:
                 m.add_constraint(f"xchain2_{i}_{j}_{l}",
                                  [(1, zil), (-1, zjl)], "<=", 0)
-            ap = a_prime[(i, j, l)]
-            if a_ij <= bound and a_il <= bound and a_jl <= bound and ap > bound:
-                m.add_constraint(f"xtrip_{i}_{j}_{l}",
-                                 [(1, zij), (1, zjl), (1, zil)], "<=", 1)
             if a_ij <= bound and a_il <= bound and a_jl > bound:
                 m.add_constraint(f"xpair1_{i}_{j}_{l}",
                                  [(1, zij), (1, zil)], "<=", 1)
@@ -372,7 +364,7 @@ def build_albareda(g: Dag, opts: BuildOptions, tables: PreprocessTables | None =
             for a in range(len(reach_i)):
                 for b in range(a + 1, len(reach_i)):
                     j, l = reach_i[a], reach_i[b]
-                    if alpha[j][l]:
+                    if g.descendant_masks[j] >> l & 1:
                         continue
                     if a_tab[(i, j)] > bound or a_tab[(i, l)] > bound:
                         continue
@@ -457,8 +449,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     return m
 
 
-def build_formulation(name: str, g: Dag, opts: BuildOptions,
-                      tables: PreprocessTables | None = None) -> LinearModel:
+def build_formulation(name: str, g: Dag, opts: BuildOptions) -> LinearModel:
     """Build one of the named non-quantum formulations."""
     if name == "undirected":
         return build_undirected(g, opts)
@@ -468,7 +459,7 @@ def build_formulation(name: str, g: Dag, opts: BuildOptions,
         return build_proposed(g, opts)
     if name.startswith("albareda-"):
         variant = name.split("-", 1)[1]
-        return build_albareda(g, opts, tables, variant=variant)
+        return build_albareda(g, opts, variant=variant)
     raise ValueError(f"unknown formulation {name!r}")
 
 

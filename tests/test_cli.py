@@ -91,6 +91,22 @@ def test_partition_brute_engine(capsys, graph_file):
     assert code == 0 and payload["cut"] == 2
 
 
+def test_partition_brute_rejects_node_budget(capsys, graph_file):
+    code, payload, err = run(capsys, "partition", "--graph", graph_file, "--k", "2",
+                             "--engine", "brute", "--budget-nodes", "0")
+    assert code == 2 and payload is None
+    assert "--budget-nodes" in err
+
+
+def test_partition_brute_rejects_warm_start(capsys, graph_file, tmp_path):
+    warm = tmp_path / "warm.part"
+    warm.write_text("0\n0\n1\n1\n")
+    code, payload, err = run(capsys, "partition", "--graph", graph_file, "--k", "2",
+                             "--engine", "brute", "--warm", str(warm))
+    assert code == 2 and payload is None
+    assert "--warm" in err
+
+
 def test_partition_infeasible_exit_3(capsys, tmp_path):
     path = tmp_path / "g.dag"
     path.write_text("p adag 2 1\nv 3\nv 1\ne 0 1 1\n")
@@ -258,12 +274,17 @@ def test_quantum_bigm_emits_lp(capsys, tmp_path):
     assert "u_0" in text
 
 
-def test_quantum_bigm_requires_lp_path(capsys, tmp_path):
+def test_quantum_bigm_requires_lp_path(capsys, tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("model built before the usage check")
+
+    monkeypatch.setattr("dagpart.cli.build_quantum", no_build)
     circuit = tmp_path / "c.qc"
     circuit.write_text(GHZ)
-    code, _, _ = run(capsys, "quantum", "--circuit", str(circuit),
-                     "--lm", "2", "--strategy", "bigm")
+    code, _, err = run(capsys, "quantum", "--circuit", str(circuit),
+                       "--lm", "2", "--strategy", "bigm")
     assert code == 2
+    assert "--emit-lp" in err
 
 
 def test_quantum_circuit_parse_error_exit_2(capsys, tmp_path):

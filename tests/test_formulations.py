@@ -116,17 +116,6 @@ def test_albareda_final_replacement_families():
     assert "acyc1_0_1_2_0" in names
 
 
-def test_albareda_final_without_extended_retention():
-    g = chain(4)
-    lean = build_albareda(g, BuildOptions(k=2), variant="final",
-                          retain_extended=False)
-    names = {c.name for c in lean.constraints}
-    assert not any(name.startswith("xchain") or name.startswith("xpair")
-                   for name in names)
-    cut, _ = exhaustive_model_optimum(lean, g)
-    assert cut == 1
-
-
 def test_relax_z_makes_continuous():
     g = chain(3)
     m = build_proposed(g, BuildOptions(k=2, relax_z=True))

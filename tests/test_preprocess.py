@@ -1,42 +1,30 @@
+import random
+
 import pytest
 
-from dagpart import Dag, compute_tables
-from dagpart.errors import MissingTablesError
-from dagpart.preprocess import a_prime_value, compute_A, compute_alpha
+from dagpart import Dag
+from dagpart.formulations import chained_triples
+from dagpart.preprocess import a_prime_value, compute_A
 
-from conftest import chain, diamond
-
-
-def test_alpha_diamond():
-    g = diamond()
-    alpha = compute_alpha(g)
-    assert alpha[0][3]
-    assert alpha[0][1] and alpha[0][2]
-    assert not alpha[1][2] and not alpha[2][1]
-    assert not alpha[3][0]
-    assert not alpha[0][0]
+from conftest import chain, diamond, random_dag
 
 
 def test_A_chain():
-    g = chain(4)
-    tables = compute_tables(g)
-    assert tables.A[(0, 1)] == 2
-    assert tables.A[(0, 2)] == 3   # interior vertex 1
-    assert tables.A[(0, 3)] == 4
-    assert (1, 0) not in tables.A
+    A = compute_A(chain(4))
+    assert A[(0, 1)] == 2
+    assert A[(0, 2)] == 3   # interior vertex 1
+    assert A[(0, 3)] == 4
+    assert (1, 0) not in A
 
 
 def test_A_diamond_counts_both_branches():
-    g = diamond()
-    tables = compute_tables(g)
     # both interior branch vertices 1 and 2 lie on some 0->3 path
-    assert tables.A[(0, 3)] == 4
+    assert compute_A(diamond())[(0, 3)] == 4
 
 
 def test_A_weighted():
     g = Dag([2, 5, 3], [(0, 1, 1), (1, 2, 1)])
-    tables = compute_tables(g)
-    assert tables.A[(0, 2)] == 10
+    assert compute_A(g)[(0, 2)] == 10
 
 
 def test_a_prime_chain():
@@ -53,16 +41,22 @@ def test_a_prime_no_double_count():
 
 
 def test_triples_table_keys_are_chained():
-    g = diamond()
-    tables = compute_tables(g, with_triples=True)
-    assert (0, 1, 3) in tables.A_prime
-    assert (0, 2, 3) in tables.A_prime
-    assert (1, 0, 3) not in tables.A_prime
-    assert (0, 1, 2) not in tables.A_prime  # 1 does not reach 2
+    # (0, 1, 2) is absent: 1 does not reach 2
+    assert set(chained_triples(diamond())) == {(0, 1, 3), (0, 2, 3)}
 
 
-def test_require_triples_guard():
-    tables = compute_tables(chain(3))
-    with pytest.raises(MissingTablesError):
-        tables.require_triples()
-    assert tables.reaches(0, 2)
+@pytest.mark.parametrize("seed", range(6))
+def test_a_prime_of_chained_triple_is_A(seed):
+    # every vertex on an i->j or j->l path, and j itself, lies on an i->l
+    # path, so A' adds nothing over A on chained triples
+    rng = random.Random(seed)
+    g = random_dag(rng, rng.randint(6, 14), p=rng.choice((0.2, 0.4, 0.6)), max_w=5)
+    labels = list(range(g.n))
+    rng.shuffle(labels)   # make vertex-id order differ from topological order
+    g = Dag([g.w[labels.index(v)] for v in range(g.n)],
+            [(labels[u], labels[v], c) for u, v, c in g.edges])
+    A = compute_A(g)
+    triples = chained_triples(g)
+    assert triples
+    for i, j, l in triples:
+        assert a_prime_value(g, i, j, l) == A[(i, l)]
