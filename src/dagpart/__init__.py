@@ -40,7 +40,13 @@ from .formulations import (
     exhaustive_model_optimum,
 )
 from .model import LinearModel, evaluate, read_solution, write_lp
-from .multilevel import coarsen, multilevel_partition, project, uncoarsen_refine
+from .multilevel import (
+    coarsen,
+    multilevel_partition,
+    project,
+    refine_moves,
+    uncoarsen_refine,
+)
 from .partition import (
     Partition,
     ValidationReport,
@@ -93,6 +99,7 @@ __all__ = [
     "coarsen",
     "multilevel_partition",
     "project",
+    "refine_moves",
     "uncoarsen_refine",
     "Partition",
     "ValidationReport",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 JSON results go to stdout, human-readable logs to stderr.  Exit codes:
-0 ok, 1 invalid graph, 2 usage/parse error, 3 infeasible or violations,
-4 size guard tripped.
+0 ok, 1 invalid graph, 2 usage/parse error or a multilevel search budget
+that ran out before any partition was found, 3 proven infeasible or
+violations, 4 size guard tripped.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .formulations import (
     exhaustive_model_optimum,
 )
 from .model import evaluate, read_solution, write_lp
-from .multilevel import multilevel_partition
+from .multilevel import DEFAULT_REFINE_BUDGET, multilevel_partition
 from .qcircuit import (
     circuit_to_dag,
     min_parts_partition,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml = sub.add_parser("multilevel", help="coarsen, solve, project, refine")
     add_graph_ke(p_ml)
     p_ml.add_argument("--target-n", type=int, default=8)
-    p_ml.add_argument("--budget-nodes", type=int, default=10_000)
+    p_ml.add_argument("--budget-nodes", type=int, default=DEFAULT_REFINE_BUDGET)
     p_ml.add_argument("--out")
     p_ml.set_defaults(func=cmd_multilevel)
 

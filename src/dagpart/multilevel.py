@@ -1,18 +1,23 @@
 """Multilevel pipeline: acyclicity-safe coarsening, exact initial partitioning,
-projection, and warm-started refinement."""
+projection, and per-level refinement.
+
+Each projected partition is first improved by greedy boundary moves that keep
+the part numbering topological (`refine_moves`), then polished by a short,
+warm-started branch and bound.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .dag import Dag
-from .errors import InfeasibleInstanceError, InvalidProjectionError
+from .errors import BudgetExhaustedError, InfeasibleInstanceError, InvalidProjectionError
 from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .formulations import BuildOptions, build_proposed, decode_partition
 from .model import read_solution, write_lp
 from .partition import Partition, balance_bound
 
-DEFAULT_REFINE_BUDGET = 10_000
+DEFAULT_REFINE_BUDGET = 1_000
 
 
 @dataclass(frozen=True)
@@ -117,12 +122,21 @@ def initial_partition(coarsest: Dag, k: int, eps=0, mode: str = "exact",
                       budget: SolveBudget | None = None,
                       lp_path=None, solution_path=None) -> Partition:
     """Partition the coarsest graph: exact solve, or LP emission for an
-    external solver whose solution file is ingested back."""
+    external solver whose solution file is ingested back.
+
+    In exact mode, InfeasibleInstanceError means the search proved that no
+    partition exists; BudgetExhaustedError means it stopped on its budget
+    before finding one.
+    """
     if mode == "exact":
         result = branch_and_bound(coarsest, k, eps, budget=budget)
-        if result.status == INFEASIBLE or result.partition is None:
+        if result.status == INFEASIBLE:
             raise InfeasibleInstanceError(
                 f"no balanced acyclic {k}-way partition at the coarsest level")
+        if result.partition is None:
+            raise BudgetExhaustedError(
+                f"search budget ran out after {result.nodes_explored} nodes before "
+                f"any balanced acyclic {k}-way partition was found")
         return result.partition
     if mode == "emit-lp":
         model = build_proposed(coarsest, BuildOptions(k=k, eps=eps))
@@ -138,15 +152,80 @@ def initial_partition(coarsest: Dag, k: int, eps=0, mode: str = "exact",
     raise ValueError(f"unknown initial partitioning mode {mode!r}")
 
 
+def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
+    """Greedy boundary moves that keep part(u) <= part(v) on every edge.
+
+    Passes over the topological order repeat until no vertex moves.  Vertex
+    v may go to any part q between lo, the largest part among its
+    predecessors, and hi, the smallest among its successors, so the part
+    numbering stays topological and the quotient graph acyclic.  It moves to
+    the q with the largest strictly positive gain in cost to its neighbours
+    that has room under bound, the lowest q on ties.  Every move lowers the
+    cut, so the loop ends.  Raises ValueError unless p's numbering is
+    topological to begin with.
+    """
+    part = list(p.assignment)
+    for u, v, _ in g.edges:
+        if part[u] > part[v]:
+            raise ValueError(f"edge ({u},{v}) runs from part {part[u]} back to "
+                             f"part {part[v]}: the part numbering is not topological")
+    loads = [0] * k
+    for v, s in enumerate(part):
+        loads[s] += g.w[v]
+    cost = g.cost
+    plan = [(v, g.w[v], tuple((u, cost[(u, v)]) for u in g.pred[v]),
+             tuple((u, cost[(v, u)]) for u in g.succ[v]))
+            for v in g.topo.order]
+    top = k - 1
+    moved = True
+    while moved:
+        moved = False
+        for v, weight, preds, succs in plan:
+            lo, hi = 0, top
+            conn = [0] * k
+            for u, c in preds:
+                s = part[u]
+                conn[s] += c
+                if s > lo:
+                    lo = s
+            for u, c in succs:
+                s = part[u]
+                conn[s] += c
+                if s < hi:
+                    hi = s
+            if lo == hi:
+                continue
+            here = part[v]
+            best, best_gain = here, 0
+            for q in range(lo, hi + 1):
+                gain = conn[q] - conn[here]
+                if gain > best_gain and loads[q] + weight <= bound:
+                    best, best_gain = q, gain
+            if best != here:
+                part[v] = best
+                loads[here] -= weight
+                loads[best] += weight
+                moved = True
+    return Partition(tuple(part), k)
+
+
 def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
                      coarse_partition: Partition, k: int, eps=0,
                      budget_nodes: int = DEFAULT_REFINE_BUDGET) -> Partition:
-    """Project level by level and refine with warm-started branch and bound."""
+    """Project level by level; refine each level by `refine_moves`, then
+    polish with branch and bound warm-started from the moved partition and
+    capped at budget_nodes nodes.
+
+    coarse_partition must number its parts topologically, as
+    `branch_and_bound` does; projection keeps that numbering.
+    """
+    bound = balance_bound(g, k, eps)
     graphs = [g] + [level.graph for level in levels]
     current = coarse_partition
     for idx in range(len(levels) - 1, -1, -1):
         finer = graphs[idx]
         current = project(current, levels[idx].mapping, finer.n)
+        current = refine_moves(finer, current, k, bound)
         result = branch_and_bound(finer, k, eps, warm=current,
                                   budget=SolveBudget(max_nodes=budget_nodes))
         if result.partition is not None:
@@ -156,26 +235,36 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
 
 def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
                          budget_nodes: int = DEFAULT_REFINE_BUDGET):
-    """Full pipeline; returns (partition, info dict with level statistics)."""
+    """Full pipeline; returns (partition, info dict with level statistics).
+
+    info["fallbacks"] counts the levels given up at the initial solve, by
+    reason: "infeasible" (proven) or "budget" (the search ran out first).
+    When even the finest graph fails, the last error is raised.
+    """
     cap = balance_bound(g, k, eps)
     levels = coarsen(g, target_n, max_weight=cap) if g.n > target_n else []
     # The weight cap keeps the coarsest graph partitionable in the common
     # case, but interactions between balance and acyclicity can still make
-    # it infeasible; fall back to finer levels until one solves.
+    # it infeasible, and the budget can run out before a partition is found;
+    # fall back to finer levels until one solves.
+    fallbacks = {"infeasible": 0, "budget": 0}
     while True:
         coarsest = levels[-1].graph if levels else g
         try:
             initial = initial_partition(coarsest, k, eps,
                                         budget=SolveBudget(max_nodes=budget_nodes))
             break
-        except InfeasibleInstanceError:
+        except (InfeasibleInstanceError, BudgetExhaustedError) as exc:
             if not levels:
                 raise
+            reason = "infeasible" if isinstance(exc, InfeasibleInstanceError) else "budget"
+            fallbacks[reason] += 1
             levels.pop()
     final = uncoarsen_refine(g, levels, initial, k, eps, budget_nodes)
     info = {
         "levels": len(levels),
         "coarsest_n": coarsest.n,
         "skipped_safety_checks": levels[-1].skipped_checks if levels else 0,
+        "fallbacks": fallbacks,
     }
     return final, info

@@ -7,7 +7,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from dagpart import Dag, Partition, validate
+from dagpart import Dag, Partition, balance_bound, validate
 
 
 def chain(n: int, w: int = 1, c: int = 1) -> Dag:
@@ -30,6 +30,46 @@ def random_dag(rng: random.Random, n: int, p: float = 0.4,
              if rng.random() < p]
     weights = [rng.randint(1, max_w) for _ in range(n)]
     return Dag(weights, edges)
+
+
+def layered_dag(rng, n: int) -> Dag:
+    """Layers of 2-4 vertices, each vertex feeding 1-2 vertices of the next
+    layer plus an occasional skip edge; vertex ids are shuffled."""
+    layers, v = [], 0
+    while v < n:
+        width = min(rng.randint(2, 4), n - v)
+        layers.append(list(range(v, v + width)))
+        v += width
+    edges = set()
+    for idx, layer in enumerate(layers[:-1]):
+        for u in layer:
+            for t in rng.sample(layers[idx + 1], min(2, len(layers[idx + 1]))):
+                edges.add((u, t))
+            if idx + 2 < len(layers) and rng.random() < 0.3:
+                edges.add((u, rng.choice(layers[idx + 2])))
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    weights = [0] * n
+    for u in range(n):
+        weights[relabel[u]] = rng.randint(1, 3)
+    return Dag(weights, [(relabel[u], relabel[t], rng.randint(1, 3))
+                         for u, t in sorted(edges)])
+
+
+def chunk_partition(g: Dag, k: int, eps):
+    """Consecutive chunks of the topological order, each filled to the
+    balance bound; None when k chunks do not hold every vertex."""
+    bound = balance_bound(g, k, eps)
+    assignment = [0] * g.n
+    s, load = 0, 0
+    for v in g.topo.order:
+        if load + g.w[v] > bound:
+            s, load = s + 1, 0
+        if s == k:
+            return None
+        assignment[v] = s
+        load += g.w[v]
+    return Partition(tuple(assignment), k)
 
 
 def noniso_dags(n: int):

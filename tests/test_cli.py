@@ -3,7 +3,8 @@ import json
 import pytest
 
 from dagpart import write_dag_file
-from dagpart.cli import main
+from dagpart.cli import build_parser, main
+from dagpart.multilevel import DEFAULT_REFINE_BUDGET
 
 from conftest import chain
 
@@ -230,6 +231,23 @@ def test_multilevel_cli(capsys, tmp_path):
     assert payload["feasible"]
     assert payload["cut"] == 2
     assert len(out.read_text().splitlines()) == 12
+
+
+def test_multilevel_budget_stop_exit_2(capsys, tmp_path):
+    # cut 1 is feasible; a budget of 3 nodes stops before any partition
+    path = tmp_path / "chain4.dag"
+    write_dag_file(chain(4), path)
+    code, payload, err = run(capsys, "multilevel", "--graph", str(path),
+                             "--k", "2", "--budget-nodes", "3")
+    assert code == 2
+    assert payload is None
+    assert "budget ran out" in err
+    assert "infeasible" not in err
+
+
+def test_multilevel_budget_default_is_the_library_default():
+    args = build_parser().parse_args(["multilevel", "--graph", "g.dag", "--k", "2"])
+    assert args.budget_nodes == DEFAULT_REFINE_BUDGET
 
 
 def test_quantum_incremental(capsys, tmp_path):

@@ -11,14 +11,13 @@ from dagpart import (
     Partition,
     STOPPED,
     SolveBudget,
-    balance_bound,
     branch_and_bound,
     brute_force,
     validate,
 )
 from dagpart.errors import InvalidKError, InvalidWarmStartError, TooLargeError
 
-from conftest import chain, diamond, random_dag
+from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
 
 
 def test_brute_force_chain():
@@ -155,53 +154,13 @@ def test_engines_agree_with_qubit_cap(rng):
 # accounting all reach these values, so a rewrite of the loop that changes
 # any of them shows up here.
 
-def _layered_dag(rng, n: int) -> Dag:
-    """Layers of 2-4 vertices, each vertex feeding 1-2 vertices of the next
-    layer plus an occasional skip edge; vertex ids are shuffled."""
-    layers, v = [], 0
-    while v < n:
-        width = min(rng.randint(2, 4), n - v)
-        layers.append(list(range(v, v + width)))
-        v += width
-    edges = set()
-    for idx, layer in enumerate(layers[:-1]):
-        for u in layer:
-            for t in rng.sample(layers[idx + 1], min(2, len(layers[idx + 1]))):
-                edges.add((u, t))
-            if idx + 2 < len(layers) and rng.random() < 0.3:
-                edges.add((u, rng.choice(layers[idx + 2])))
-    relabel = list(range(n))
-    rng.shuffle(relabel)
-    weights = [0] * n
-    for u in range(n):
-        weights[relabel[u]] = rng.randint(1, 3)
-    return Dag(weights, [(relabel[u], relabel[t], rng.randint(1, 3))
-                         for u, t in sorted(edges)])
-
-
 def _pin_graphs():
     rng = random.Random(515)
     graphs = []
     for n in (8, 10, 12, 14, 16):
         graphs.append(random_dag(rng, n, p=0.3))
-        graphs.append(_layered_dag(rng, n))
+        graphs.append(layered_dag(rng, n))
     return graphs
-
-
-def _chunk_warm(g: Dag, k: int, eps):
-    """Consecutive chunks of the topological order, each filled to the
-    balance bound; None when k chunks do not hold every vertex."""
-    bound = balance_bound(g, k, eps)
-    assignment = [0] * g.n
-    s, load = 0, 0
-    for v in g.topo.order:
-        if load + g.w[v] > bound:
-            s, load = s + 1, 0
-        if s == k:
-            return None
-        assignment[v] = s
-        load += g.w[v]
-    return Partition(tuple(assignment), k)
 
 
 def _pin_cases(group: str):
@@ -212,11 +171,11 @@ def _pin_cases(group: str):
                 if group == "plain":
                     yield g, k, eps, {}
                 elif group == "warm":
-                    warm = _chunk_warm(g, k, eps)
+                    warm = chunk_partition(g, k, eps)
                     if warm is not None:
                         yield g, k, eps, {"warm": warm}
                 elif group == "budget":
-                    warm = _chunk_warm(g, k, eps)
+                    warm = chunk_partition(g, k, eps)
                     for max_nodes in (0, 1, 7, 100, 2000):
                         budget = SolveBudget(max_nodes=max_nodes)
                         yield g, k, eps, {"budget": budget}

@@ -1,18 +1,31 @@
+import hashlib
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
 from dagpart import (
     Dag,
     Partition,
+    SolveBudget,
+    balance_bound,
     brute_force,
     coarsen,
+    edge_cut,
     multilevel_partition,
     project,
+    refine_moves,
     validate,
 )
-from dagpart.errors import InfeasibleInstanceError, InvalidProjectionError
+from dagpart.errors import (
+    BudgetExhaustedError,
+    InfeasibleInstanceError,
+    InvalidProjectionError,
+)
 from dagpart.multilevel import _contract, _contraction_safe, initial_partition
 
-from conftest import chain, diamond, random_dag
+from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
 
 
 def test_contraction_safety():
@@ -122,3 +135,102 @@ def test_multilevel_feasibility_random(rng):
             continue
         p, _ = multilevel_partition(g, k, "3/10", target_n=4)
         assert validate(g, p, k, "3/10").feasible
+
+
+def test_initial_partition_budget_stop_is_not_infeasible():
+    # cut 1 is feasible, but 3 nodes do not reach a first leaf
+    with pytest.raises(BudgetExhaustedError):
+        initial_partition(chain(4), 2, budget=SolveBudget(max_nodes=3))
+
+
+def test_multilevel_budget_stop_raises_when_no_level_left():
+    with pytest.raises(BudgetExhaustedError):
+        multilevel_partition(chain(4), 2, budget_nodes=3)
+
+
+def test_multilevel_falls_back_on_budget_stop():
+    g = Dag([1, 3, 1, 3, 1, 3], [(0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)])
+    p, info = multilevel_partition(g, 3, target_n=3, budget_nodes=12)
+    assert info["fallbacks"] == {"infeasible": 0, "budget": 1}
+    assert info["levels"] == 1
+    assert validate(g, p, 3, 0).feasible
+
+
+def test_multilevel_reports_infeasible_fallbacks():
+    # contracting 1->3 leaves three vertices of weight 3 under bound 5
+    g = Dag([3, 2, 3, 1], [(1, 3, 1)])
+    p, info = multilevel_partition(g, 2, target_n=2)
+    assert info["fallbacks"] == {"infeasible": 1, "budget": 0}
+    assert info["levels"] == 0
+    assert validate(g, p, 2, 0).feasible
+
+
+def _refine_cases():
+    """40 (graph, k, eps, start) cases: seeded random and layered DAGs, each
+    started from consecutive topological chunks."""
+    rng = random.Random(4242)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(20, 80)
+        g = (random_dag(rng, n, p=3 / n) if len(cases) % 2
+             else layered_dag(rng, n))
+        k = rng.randint(2, 4)
+        eps = Fraction(1, 10)
+        start = chunk_partition(g, k, eps)
+        if start is not None:
+            cases.append((g, k, eps, start))
+    return cases
+
+
+def test_refine_moves_keeps_feasibility_and_lowers_cut():
+    moved = 0
+    for g, k, eps, start in _refine_cases():
+        bound = balance_bound(g, k, eps)
+        p = refine_moves(g, start, k, bound)
+        assert validate(g, p, k, eps).feasible
+        assert edge_cut(g, p) <= edge_cut(g, start)
+        assert all(p.assignment[u] <= p.assignment[v] for u, v, _ in g.edges)
+        assert refine_moves(g, p, k, bound) == p
+        moved += p != start
+    assert moved > 0
+
+
+def test_refine_moves_rejects_non_topological_numbering():
+    g = chain(4)
+    with pytest.raises(ValueError):
+        refine_moves(g, Partition((1, 1, 0, 0), 2), 2, 2)
+
+
+def test_refine_moves_takes_lowest_part_on_ties():
+    # vertex 2 alone in part 1 gains 1 in part 0 and 1 in part 2; the heavy
+    # edges 0->1 and 3->4 keep their ends in place
+    g = Dag([1] * 5, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 4, 5)])
+    p = refine_moves(g, Partition((0, 0, 1, 2, 2), 3), 3, 3)
+    assert p.assignment == (0, 0, 0, 2, 2)
+
+
+# --- pinned pipeline outputs -----------------------------------------------
+# sha256 over (assignment, info) of multilevel_partition on seeded graphs.
+# Coarsening, the initial solve, the moves and the polish all reach these
+# values, so a rewrite of any of them that changes results shows up here.
+
+def _multilevel_pin_cases():
+    rng = random.Random(9090)
+    for n in (30, 60, 90, 120):
+        for g in (random_dag(rng, n, p=3 / n), layered_dag(rng, n)):
+            for k in (2, 4):
+                yield g, k
+
+
+MULTILEVEL_PIN_SHA256 = "6ac17b6b54b54be09fc1ce52db502c74df8bd85250d51d31386993c853ebf021"
+
+
+def test_multilevel_outputs_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for g, k in _multilevel_pin_cases():
+        p, info = multilevel_partition(g, k, Fraction(1, 10))
+        digest.update(repr((p.assignment, json.dumps(info, sort_keys=True))).encode())
+        count += 1
+    assert count == 16
+    assert digest.hexdigest() == MULTILEVEL_PIN_SHA256
