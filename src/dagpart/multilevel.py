@@ -1,9 +1,11 @@
 """Multilevel pipeline: acyclicity-safe coarsening, exact initial partitioning,
 projection, and per-level refinement.
 
-Each projected partition is first improved by greedy boundary moves that keep
-the part numbering topological (`refine_moves`), then polished by a short,
-warm-started branch and bound.
+Coarsening contracts one edge (u, v) per level, and only when no other u->v
+path exists, so every coarse graph, and hence the quotient of every
+projected partition, stays acyclic.  Each projected partition is first
+improved by greedy boundary moves that keep the part numbering topological
+(`refine_moves`), then polished by a short, warm-started branch and bound.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from .dag import Dag
 from .errors import BudgetExhaustedError, InfeasibleInstanceError, InvalidProjectionError
 from .exact import INFEASIBLE, SolveBudget, branch_and_bound
-from .formulations import BuildOptions, build_proposed, decode_partition
-from .model import read_solution, write_lp
 from .partition import Partition, balance_bound
 
 DEFAULT_REFINE_BUDGET = 1_000
@@ -26,21 +26,29 @@ class CoarseningLevel:
 
     graph: Dag
     mapping: tuple[int, ...]
-    skipped_checks: int = 0
 
 
 def _contraction_safe(g: Dag, u: int, v: int) -> bool:
-    """Contracting edge (u, v) is safe iff no u->v path survives without it."""
+    """Contracting edge (u, v) is safe iff no u->v path survives without it.
+
+    The search never enters a vertex placed after v in the topological
+    order, since none can reach v; when v directly follows u it has nothing
+    to visit.
+    """
+    position = g.topo.position
+    last = position[v]
     seen = set()
-    stack = [w for w in g.succ[u] if w != v]
+    stack = [w for w in g.succ[u] if position[w] < last]
     while stack:
         a = stack.pop()
-        if a == v:
-            return False
         if a in seen:
             continue
         seen.add(a)
-        stack.extend(g.succ[a])
+        for b in g.succ[a]:
+            if b == v:
+                return False
+            if position[b] < last:
+                stack.append(b)
     return True
 
 
@@ -72,37 +80,26 @@ def coarsen(g: Dag, target_n: int,
             max_weight: int | None = None) -> list[CoarseningLevel]:
     """Contract heavy edges one at a time while preserving acyclicity.
 
-    Stops at target_n vertices or when no safe contraction remains.  The
-    current topological index lets us skip the reachability check whenever
-    the edge joins consecutively indexed vertices (no interior path can
-    exist then).  With max_weight set, contractions that would create a
-    vertex heavier than the cap are skipped so the coarsest graph stays
-    partitionable under the balance bound.
+    Each level contracts the first edge in (-cost, u, v) order that
+    `_contraction_safe` accepts and, with max_weight set, that does not
+    make a vertex heavier than the cap, so the coarsest graph stays
+    partitionable under the balance bound.  Stops at target_n vertices or
+    when no such edge remains.
     """
     if target_n < 2:
         raise ValueError(f"target_n must be >= 2, got {target_n}")
     levels: list[CoarseningLevel] = []
     current = g
-    skipped = 0
     while current.n > target_n:
-        position = current.topo.position
-        candidates = sorted(current.edges, key=lambda e: (-e[2], e[0], e[1]))
-        chosen = None
-        for u, v, _ in candidates:
-            if max_weight is not None and current.w[u] + current.w[v] > max_weight:
-                continue
-            if position[v] - position[u] == 1:
-                skipped += 1
-                chosen = (u, v)
-                break
-            if _contraction_safe(current, u, v):
-                chosen = (u, v)
-                break
+        w = current.w
+        by_cost = sorted(current.edges, key=lambda e: (-e[2], e[0], e[1]))
+        chosen = next(((u, v) for u, v, _ in by_cost
+                       if (max_weight is None or w[u] + w[v] <= max_weight)
+                       and _contraction_safe(current, u, v)), None)
         if chosen is None:
             break
-        coarse, mapping = _contract(current, *chosen)
-        levels.append(CoarseningLevel(coarse, mapping, skipped))
-        current = coarse
+        current, mapping = _contract(current, *chosen)
+        levels.append(CoarseningLevel(current, mapping))
     return levels
 
 
@@ -118,38 +115,23 @@ def project(p_coarse: Partition, mapping, fine_n: int) -> Partition:
     return Partition(tuple(coarse[mapping[i]] for i in range(fine_n)), p_coarse.k)
 
 
-def initial_partition(coarsest: Dag, k: int, eps=0, mode: str = "exact",
-                      budget: SolveBudget | None = None,
-                      lp_path=None, solution_path=None) -> Partition:
-    """Partition the coarsest graph: exact solve, or LP emission for an
-    external solver whose solution file is ingested back.
+def initial_partition(coarsest: Dag, k: int, eps=0,
+                      budget: SolveBudget | None = None) -> Partition:
+    """Partition the coarsest graph exactly by branch and bound.
 
-    In exact mode, InfeasibleInstanceError means the search proved that no
-    partition exists; BudgetExhaustedError means it stopped on its budget
-    before finding one.
+    InfeasibleInstanceError means the search proved that no partition
+    exists; BudgetExhaustedError means it stopped on its budget before
+    finding one.
     """
-    if mode == "exact":
-        result = branch_and_bound(coarsest, k, eps, budget=budget)
-        if result.status == INFEASIBLE:
-            raise InfeasibleInstanceError(
-                f"no balanced acyclic {k}-way partition at the coarsest level")
-        if result.partition is None:
-            raise BudgetExhaustedError(
-                f"search budget ran out after {result.nodes_explored} nodes before "
-                f"any balanced acyclic {k}-way partition was found")
-        return result.partition
-    if mode == "emit-lp":
-        model = build_proposed(coarsest, BuildOptions(k=k, eps=eps))
-        if lp_path is not None:
-            with open(lp_path, "w", encoding="ascii") as fh:
-                fh.write(write_lp(model))
-        if solution_path is None:
-            raise ValueError("emit-lp mode needs solution_path to ingest")
-        with open(solution_path, "r", encoding="ascii") as fh:
-            assignment, _ = read_solution(model, fh.read())
-        partition, _ = decode_partition(model, assignment)
-        return partition
-    raise ValueError(f"unknown initial partitioning mode {mode!r}")
+    result = branch_and_bound(coarsest, k, eps, budget=budget)
+    if result.status == INFEASIBLE:
+        raise InfeasibleInstanceError(
+            f"no balanced acyclic {k}-way partition at the coarsest level")
+    if result.partition is None:
+        raise BudgetExhaustedError(
+            f"search budget ran out after {result.nodes_explored} nodes before "
+            f"any balanced acyclic {k}-way partition was found")
+    return result.partition
 
 
 def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
@@ -264,7 +246,6 @@ def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
     info = {
         "levels": len(levels),
         "coarsest_n": coarsest.n,
-        "skipped_safety_checks": levels[-1].skipped_checks if levels else 0,
         "fallbacks": fallbacks,
     }
     return final, info
