@@ -29,7 +29,14 @@ from .errors import (
     SelfLoopError,
     TooLargeError,
 )
-from .exact import INFEASIBLE, OPTIMAL, SolveBudget, branch_and_bound, brute_force
+from .exact import (
+    INFEASIBLE,
+    OPTIMAL,
+    SolveBudget,
+    branch_and_bound,
+    brute_force,
+    guard_enumeration,
+)
 from .fileio import read_dag_file
 from .formulations import (
     FORMULATION_NAMES,
@@ -151,9 +158,7 @@ def cmd_ingest_solution(args) -> int:
 
 def cmd_compare(args) -> int:
     g = read_dag_file(args.graph)
-    if args.k > 1 and g.n * (args.k - 1).bit_length() > COMPARE_GUARD_BITS:
-        raise TooLargeError(
-            f"instance too large for exhaustive model comparison (n={g.n}, k={args.k})")
+    guard_enumeration(g.n, args.k, COMPARE_GUARD_BITS, "model comparison")
     oracle = brute_force(g, args.k, args.eps)
     table: dict[str, object] = {
         "brute_force": oracle.cut if oracle.status == OPTIMAL else None}
@@ -173,7 +178,8 @@ def cmd_multilevel(args) -> int:
                                        budget_nodes=args.budget_nodes)
     report = part_mod.validate(g, final, args.k, args.eps)
     _emit({"cut": report.cut, "B": report.bound, "levels": info["levels"],
-           "coarsest_n": info["coarsest_n"], "feasible": report.feasible})
+           "coarsest_n": info["coarsest_n"], "fallbacks": info["fallbacks"],
+           "feasible": report.feasible})
     if args.out:
         part_mod.write_partition_file(final, args.out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE

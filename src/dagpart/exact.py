@@ -18,6 +18,13 @@ STOPPED = "stopped"
 BRUTE_FORCE_GUARD_BITS = 24
 
 
+def guard_enumeration(n: int, k: int, bits: int, what: str) -> None:
+    """Raise TooLargeError unless all k^n part assignments fit in 2^bits,
+    counting bit_length(k - 1) bits per vertex."""
+    if k > 1 and n * (k - 1).bit_length() > bits:
+        raise TooLargeError(f"k^n too large for {what} (n={n}, k={k})")
+
+
 @dataclass(frozen=True)
 class SolveBudget:
     max_nodes: int | None = None
@@ -38,8 +45,7 @@ class SolveResult:
     nodes_explored: int
 
 
-def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
-                guard_bits: int = BRUTE_FORCE_GUARD_BITS) -> SolveResult:
+def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveResult:
     """Enumerate all k^n assignments and return the minimum feasible cut.
 
     This is the independent oracle: feasibility is checked directly from
@@ -50,8 +56,7 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None,
     """
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
-    if k > 1 and g.n * (k - 1).bit_length() > guard_bits:
-        raise TooLargeError(f"k^n too large to enumerate (n={g.n}, k={k})")
+    guard_enumeration(g.n, k, BRUTE_FORCE_GUARD_BITS, "brute-force enumeration")
     bound = balance_bound(g, k, eps)
     edges = g.edges
     weights = g.w
@@ -117,6 +122,9 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     warm start is kept on ties.  The search stops with STOPPED when the node
     count exceeds budget.max_nodes (it then reports max_nodes + 1 nodes), or
     when the deadline has passed at a node count that is a multiple of 256.
+
+    The search recurses once per vertex, so a graph deeper than the
+    interpreter's recursion limit raises TooLargeError.
     """
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
@@ -197,9 +205,13 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         status = OPTIMAL if best_assignment is not None else INFEASIBLE
     except _Stopped as stop:
         nodes, status = stop.args[0], STOPPED
-    # descend reaches itself through its closure cell; break that cycle so
-    # the plan is freed now rather than at the next cyclic collection.
-    del descend
+    except RecursionError:
+        raise TooLargeError(
+            f"graph too deep for the recursive search (n={n})") from None
+    finally:
+        # descend reaches itself through its closure cell; break that cycle
+        # so the plan is freed now rather than at the next cyclic collection.
+        del descend
     if best_assignment is None:
         return SolveResult(status, None, None, nodes)
     return SolveResult(status, Partition(best_assignment, k), best_cut, nodes)

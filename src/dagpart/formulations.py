@@ -15,12 +15,8 @@ from fractions import Fraction
 from itertools import product
 
 from .dag import Dag, mask_vertices, part_order, quotient_graph
-from .errors import (
-    AmbiguousAssignmentError,
-    InvalidKError,
-    QubitCapacityInfeasibleError,
-    TooLargeError,
-)
+from .errors import AmbiguousAssignmentError, InvalidKError, QubitCapacityInfeasibleError
+from .exact import BRUTE_FORCE_GUARD_BITS, guard_enumeration
 from .model import LinearModel, MAXIMIZE, MINIMIZE, evaluate
 from .partition import Partition, balance_bound, to_fraction
 from .preprocess import a_prime_value, compute_A
@@ -560,15 +556,15 @@ def decode_partition(m: LinearModel, a) -> tuple[Partition, Fraction]:
     return Partition(tuple(assignment), k), assignment_min_cut(m, a)
 
 
-def exhaustive_model_optimum(m: LinearModel, g: Dag, guard_bits: int = 24):
+def exhaustive_model_optimum(m: LinearModel, g: Dag):
     """Optimum over canonical encodings of all k^n part assignments.
 
     Returns (min_cut, partition) for the best feasible encoding, or
-    (None, None) when no encoding is feasible.  Guarded against blow-up.
+    (None, None) when no encoding is feasible.  Raises TooLargeError where
+    brute_force would.
     """
     n, k = m.meta["n"], m.meta["k"]
-    if k > 1 and n * (k - 1).bit_length() > guard_bits:
-        raise TooLargeError(f"k^n too large for exhaustive search (n={n}, k={k})")
+    guard_enumeration(n, k, BRUTE_FORCE_GUARD_BITS, "exhaustive model search")
     maximize = m.objective_sense == MAXIMIZE
     best_obj = None
     best_p = None

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from dagpart import write_dag_file
+from dagpart import Dag, write_dag_file
 from dagpart.cli import build_parser, main
 from dagpart.multilevel import DEFAULT_REFINE_BUDGET
 
@@ -230,7 +231,29 @@ def test_multilevel_cli(capsys, tmp_path):
     assert code == 0
     assert payload["feasible"]
     assert payload["cut"] == 2
+    assert payload["fallbacks"] == {"infeasible": 0, "budget": 0}
     assert len(out.read_text().splitlines()) == 12
+
+
+def test_multilevel_cli_reports_fallbacks(capsys, tmp_path):
+    # contracting 1->3 leaves three vertices of weight 3 under bound 5
+    path = tmp_path / "f.dag"
+    write_dag_file(Dag([3, 2, 3, 1], [(1, 3, 1)]), path)
+    code, payload, _ = run(capsys, "multilevel", "--graph", str(path),
+                           "--k", "2", "--target-n", "2")
+    assert code == 0
+    assert payload["fallbacks"] == {"infeasible": 1, "budget": 0}
+    assert payload["levels"] == 0
+
+
+def test_partition_too_deep_exits_4(capsys, tmp_path):
+    path = tmp_path / "deep.dag"
+    write_dag_file(chain(3 * sys.getrecursionlimit()), path)
+    code, payload, err = run(capsys, "partition", "--graph", str(path),
+                             "--k", "2", "--budget-nodes", "5000")
+    assert code == 4
+    assert payload is None
+    assert "too deep" in err
 
 
 def test_multilevel_budget_stop_exit_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,13 @@ def test_brute_force_guard():
     g = Dag([1] * 30, [])
     with pytest.raises(TooLargeError):
         brute_force(g, 2)
+
+
+def test_bnb_too_deep_is_a_guard():
+    # the search recurses once per vertex
+    with pytest.raises(TooLargeError, match="too deep"):
+        branch_and_bound(chain(3 * sys.getrecursionlimit()), 2,
+                         budget=SolveBudget(max_nodes=5000))
 
 
 def test_brute_force_k1():

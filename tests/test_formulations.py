@@ -26,6 +26,7 @@ from dagpart.errors import (
     AmbiguousAssignmentError,
     InvalidKError,
     QubitCapacityInfeasibleError,
+    TooLargeError,
 )
 from dagpart.formulations import MAX_INTERNAL
 from dagpart.model import BINARY, INTEGER
@@ -199,6 +200,13 @@ def test_optimum_equality_small_corpus():
             else:
                 assert cut == oracle.cut, (name, cut, oracle.cut)
                 assert validate(g, p, k, eps).feasible
+
+
+def test_exhaustive_optimum_guard():
+    # 2^25 assignments: refused before any is enumerated
+    m = build_formulation("proposed", chain(25), BuildOptions(k=2))
+    with pytest.raises(TooLargeError):
+        exhaustive_model_optimum(m, chain(25))
 
 
 def test_exhaustive_optimum_infeasible():
