@@ -123,8 +123,8 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     count exceeds budget.max_nodes (it then reports max_nodes + 1 nodes), or
     when the deadline has passed at a node count that is a multiple of 256.
 
-    The search recurses once per vertex, so a graph deeper than the
-    interpreter's recursion limit raises TooLargeError.
+    The search recurses once per vertex, so a graph with more vertices than
+    the interpreter's recursion limit allows raises TooLargeError.
     """
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
@@ -206,8 +206,8 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     except _Stopped as stop:
         nodes, status = stop.args[0], STOPPED
     except RecursionError:
-        raise TooLargeError(
-            f"graph too deep for the recursive search (n={n})") from None
+        raise TooLargeError(f"n={n} vertices exceed the recursion limit of "
+                            f"the search, which recurses once per vertex") from None
     finally:
         # descend reaches itself through its closure cell; break that cycle
         # so the plan is freed now rather than at the next cyclic collection.

@@ -246,14 +246,14 @@ def test_multilevel_cli_reports_fallbacks(capsys, tmp_path):
     assert payload["levels"] == 0
 
 
-def test_partition_too_deep_exits_4(capsys, tmp_path):
-    path = tmp_path / "deep.dag"
+def test_partition_beyond_recursion_limit_exits_4(capsys, tmp_path):
+    path = tmp_path / "long.dag"
     write_dag_file(chain(3 * sys.getrecursionlimit()), path)
     code, payload, err = run(capsys, "partition", "--graph", str(path),
                              "--k", "2", "--budget-nodes", "5000")
     assert code == 4
     assert payload is None
-    assert "too deep" in err
+    assert "recursion limit" in err
 
 
 def test_multilevel_budget_stop_exit_2(capsys, tmp_path):

@@ -46,9 +46,9 @@ def test_brute_force_guard():
         brute_force(g, 2)
 
 
-def test_bnb_too_deep_is_a_guard():
+def test_bnb_beyond_recursion_limit_is_a_guard():
     # the search recurses once per vertex
-    with pytest.raises(TooLargeError, match="too deep"):
+    with pytest.raises(TooLargeError, match="recursion limit"):
         branch_and_bound(chain(3 * sys.getrecursionlimit()), 2,
                          budget=SolveBudget(max_nodes=5000))
 
