@@ -4,9 +4,8 @@ Library layout:
 
 - ``dag``           graph container, validation, quotient graphs
 - ``partition``     partitions, balance bound, feasibility validation
-- ``preprocess``    path-weight tables for the Albareda models
 - ``model``         solver-agnostic linear models, LP emission, ingestion
-- ``formulations``  the six integer-programming formulations
+- ``formulations``  the six ILP formulations and the path-weight table ``A``
 - ``exact``         brute-force oracle and branch-and-bound
 - ``multilevel``    coarsen / initial-partition / refine pipeline
 - ``qcircuit``      quantum-circuit ingestion and minimum-part driver

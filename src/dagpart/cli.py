@@ -23,8 +23,6 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidWarmStartError,
     NoFeasibleKError,
-    NonIntegralValueError,
-    ParseError,
     QubitCapacityInfeasibleError,
     SelfLoopError,
     TooLargeError,
@@ -120,6 +118,17 @@ def _build_named(args, g: Dag):
     return build_formulation(args.formulation, g, opts)
 
 
+def _read_model_solution(model, path: str):
+    """Read a solution file for the model, log its warnings and decode it:
+    (assignment, partition, claimed cut)."""
+    with open(path, "r", encoding="ascii") as fh:
+        assignment, warnings = read_solution(model, fh.read())
+    for warning in warnings:
+        _log(warning)
+    p, cut = decode_partition(model, assignment)
+    return assignment, p, cut
+
+
 def cmd_emit_lp(args) -> int:
     g = read_dag_file(args.graph)
     text = write_lp(_build_named(args, g))
@@ -134,11 +143,7 @@ def cmd_emit_lp(args) -> int:
 def cmd_ingest_solution(args) -> int:
     g = read_dag_file(args.graph)
     model = _build_named(args, g)
-    with open(args.solution, "r", encoding="ascii") as fh:
-        assignment, warnings = read_solution(model, fh.read())
-    for warning in warnings:
-        _log(warning)
-    p, cut = decode_partition(model, assignment)
+    assignment, p, cut = _read_model_solution(model, args.solution)
     report = part_mod.validate(g, p, args.k, args.eps)
     check = evaluate(model, assignment)
     violations = list(report.violations) + list(check.violations)
@@ -200,11 +205,7 @@ def cmd_quantum(args) -> int:
         if not args.solution:
             _emit({"emitted": args.emit_lp, "k_cap": k_cap})
             return EXIT_OK
-        with open(args.solution, "r", encoding="ascii") as fh:
-            assignment, warnings = read_solution(model, fh.read())
-        for warning in warnings:
-            _log(warning)
-        p, cut = decode_partition(model, assignment)
+        _, p, cut = _read_model_solution(model, args.solution)
         used = sorted({s for s in p.assignment})
         _emit({"k": len(used), "cut": str(cut),
                "part_qubits": part_qubit_counts(nq, p)})
@@ -296,8 +297,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, NonIntegralValueError, InvalidWarmStartError,
-            ValueError) as exc:
+    except ValueError as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except (CycleDetectedError, SelfLoopError, DuplicateEdgeError) as exc:

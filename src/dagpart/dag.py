@@ -96,8 +96,7 @@ class Dag:
 
         succ: list[list[int]] = [[] for _ in range(self.n)]
         pred: list[list[int]] = [[] for _ in range(self.n)]
-        seen_pairs: set[tuple[int, int]] = set()
-        edge_list: list[tuple[int, int, int]] = []
+        cost: dict[tuple[int, int], int] = {}
         for u, v, c in edges:
             u, v, c = int(u), int(v), int(c)
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -106,16 +105,15 @@ class Dag:
                 raise ValueError(f"negative cost {c} on edge ({u},{v})")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if (u, v) in seen_pairs:
+            if (u, v) in cost:
                 raise DuplicateEdgeError(f"duplicate edge {u}->{v}")
-            seen_pairs.add((u, v))
-            edge_list.append((u, v, c))
+            cost[(u, v)] = c
             succ[u].append(v)
             pred[v].append(u)
-        self.edges = tuple(edge_list)
+        self.cost = cost
+        self.edges = tuple((u, v, c) for (u, v), c in cost.items())
         self.succ = tuple(tuple(sorted(s)) for s in succ)
         self.pred = tuple(tuple(sorted(p)) for p in pred)
-        self.cost = {(u, v): c for u, v, c in edge_list}
 
         order = _kahn(self.n, self.succ, [len(p) for p in self.pred])
         if len(order) < self.n:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .dag import Dag, part_order
-from .errors import InvalidKError, InvalidWarmStartError, TooLargeError
+from .errors import InvalidWarmStartError, TooLargeError
 from .partition import Partition, balance_bound, validate
 
 OPTIMAL = "optimal"
@@ -54,8 +54,6 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveR
     per vertex and lm caps each part's qubit count.  Lexicographically
     smallest assignment wins ties.
     """
-    if k < 1:
-        raise InvalidKError(f"k must be >= 1, got {k}")
     guard_enumeration(g.n, k, BRUTE_FORCE_GUARD_BITS, "brute-force enumeration")
     bound = balance_bound(g, k, eps)
     edges = g.edges
@@ -126,8 +124,6 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     The search recurses once per vertex, so a graph with more vertices than
     the interpreter's recursion limit allows raises TooLargeError.
     """
-    if k < 1:
-        raise InvalidKError(f"k must be >= 1, got {k}")
     budget = budget or SolveBudget()
     bound = balance_bound(g, k, eps)
 

@@ -1,5 +1,6 @@
-"""Builders for the ILP formulations, plus encode/decode between
-partitions and model assignments.
+"""Builders for the ILP formulations, the path-weight table A that the
+Albareda models read, and encode/decode between partitions and model
+assignments.
 
 All builders produce a LinearModel over the shared variable naming scheme
 x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
@@ -12,26 +13,17 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
-from .dag import Dag, mask_vertices, part_order, quotient_graph
-from .errors import AmbiguousAssignmentError, InvalidKError, QubitCapacityInfeasibleError
+from .dag import Dag, mask_vertices
+from .errors import AmbiguousAssignmentError, QubitCapacityInfeasibleError
 from .exact import BRUTE_FORCE_GUARD_BITS, guard_enumeration
 from .model import LinearModel, MAXIMIZE, MINIMIZE, evaluate
-from .partition import Partition, balance_bound, to_fraction
-from .preprocess import a_prime_value, compute_A
+from .partition import Partition, balance_bound, part_levels, to_fraction
 
 MIN_CUT = "min_cut"
 MAX_INTERNAL = "max_internal"
-
-FORMULATION_NAMES = (
-    "undirected",
-    "nossack",
-    "albareda-base",
-    "albareda-extended",
-    "albareda-final",
-    "proposed",
-)
 
 
 @dataclass(frozen=True)
@@ -65,11 +57,6 @@ def _u(s):
     return f"u_{s}"
 
 
-def _check_k(opts: BuildOptions):
-    if opts.k < 1:
-        raise InvalidKError(f"k must be >= 1, got {opts.k}")
-
-
 def _add_common(m: LinearModel, g: Dag, k: int, bound: int) -> None:
     """x variables, one-part-per-vertex, and balance constraints."""
     for i in range(g.n):
@@ -91,8 +78,41 @@ def _add_z(m: LinearModel, i, j, relax_z: bool) -> str:
     return name
 
 
-def _base_meta(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
-               bound: int, convention: str) -> None:
+def _add_y(m: LinearModel, k: int) -> None:
+    """Binary y_s_t for every ordered pair of distinct parts."""
+    for s in range(k):
+        for t in range(k):
+            if s != t:
+                m.add_binary(_y(s, t))
+
+
+def _add_induced(m: LinearModel, g: Dag, k: int) -> None:
+    """An edge from part s to part t forces y_s_t = 1."""
+    for u, v, _ in g.edges:
+        for s in range(k):
+            for t in range(k):
+                if s != t:
+                    m.add_constraint(f"induced_{u}_{v}_{s}_{t}",
+                                     [(1, _x(u, s)), (1, _x(v, t)), (-1, _y(s, t))],
+                                     "<=", 1)
+
+
+def _add_same_part(m: LinearModel, prefix: str, zpairs, k: int) -> None:
+    """Same-part z rows: z = 1 claims i and j share a part; without these rows
+    nothing pins z to 0 on a cut edge, and a solver could claim a false cut."""
+    for i, j in zpairs:
+        for s in range(k):
+            m.add_constraint(f"{prefix}_{i}_{j}_{s}",
+                             [(1, _z(i, j)), (1, _x(i, s)), (-1, _x(j, s))],
+                             "<=", 1)
+
+
+def _finish(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
+            bound: int, convention: str) -> None:
+    """The edge objective, minimised under MIN_CUT and maximised under
+    MAX_INTERNAL, and the meta that decoding reads."""
+    sense = MAXIMIZE if convention == MAX_INTERNAL else MINIMIZE
+    m.set_objective(sense, [(c, _z(u, v)) for u, v, c in g.edges])
     m.meta.update({
         "kind": kind,
         "n": g.n,
@@ -121,9 +141,41 @@ def chained_triples(g: Dag):
     return [(i, j, h) for i in range(g.n) for j in later[i] for h in later[j]]
 
 
+def compute_A(g: Dag) -> dict[tuple[int, int], int]:
+    """Path-weight table of the Albareda models: A[(i, j)] for every pair
+    with i->j reachable is w_i + w_j plus the weight of every vertex on some
+    i->j path."""
+    table: dict[tuple[int, int], int] = {}
+    for i, desc in enumerate(g.descendant_masks):
+        for j in mask_vertices(desc):
+            table[(i, j)] = g.w[i] + g.w[j] + g.mask_weight(g.path_mask(i, j))
+    return table
+
+
+def a_prime_value(g: Dag, i: int, j: int, l: int) -> int:
+    """Weight of the union of path vertices over i->j, j->l and i->l.
+
+    w_j is counted once through the explicit endpoint term, hence the
+    removal of j from the interior union.  On a chained triple (i reaches j,
+    j reaches l) this equals A(i,l); it carries information only where j and
+    l are incomparable, as in the `acyc1` rows of albareda-final.
+    """
+    interior = g.path_mask(i, j) | g.path_mask(j, l) | g.path_mask(i, l)
+    interior &= ~(1 << j)
+    return g.w[i] + g.w[j] + g.w[l] + g.mask_weight(interior)
+
+
+def _z_pairs(g: Dag, triples) -> list[tuple[int, int]]:
+    """Edge pairs and the three pairs of every triple, in topological order."""
+    pos = g.topo.position
+    zset = {(u, v) for u, v, _ in g.edges}
+    for i, j, l in triples:
+        zset.update([(i, j), (j, l), (i, l)])
+    return sorted(zset, key=lambda p: (pos[p[0]], pos[p[1]]))
+
+
 def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
     """Balanced k-way partitioning baseline that ignores edge directions."""
-    _check_k(opts)
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("undirected")
@@ -139,19 +191,16 @@ def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
             m.add_constraint(f"cut_{u}_{v}_{s}_hi",
                              [(1, _x(v, s)), (-1, _x(u, s)), (-1, _z(u, v))],
                              "<=", 0)
-    m.set_objective(MINIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
-    _base_meta(m, "undirected", g, opts, bound, MIN_CUT)
+    _finish(m, "undirected", g, opts, bound, MIN_CUT)
     return m
 
 
 def build_proposed(g: Dag, opts: BuildOptions) -> LinearModel:
     """Acyclic partitioning via an upper-triangular part adjacency matrix."""
-    _check_k(opts)
-    m = LinearModel("proposed")
     bound = balance_bound(g, opts.k, opts.eps)
+    m = LinearModel("proposed")
     _proposed_core(m, g, opts.k, bound, opts.relax_z)
-    m.set_objective(MINIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
-    _base_meta(m, "proposed", g, opts, bound, MIN_CUT)
+    _finish(m, "proposed", g, opts, bound, MIN_CUT)
     return m
 
 
@@ -159,10 +208,7 @@ def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool) ->
     _add_common(m, g, k, bound)
     for u, v, _ in g.edges:
         _add_z(m, u, v, relax_z)
-    for s in range(k):
-        for t in range(k):
-            if s != t:
-                m.add_binary(_y(s, t))
+    _add_y(m, k)
     for u, v, _ in g.edges:
         for s in range(k):
             # single-sided cut marking; sufficient at optimality because the
@@ -170,13 +216,7 @@ def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool) ->
             m.add_constraint(f"cutmark_{u}_{v}_{s}",
                              [(1, _x(v, s)), (-1, _x(u, s)), (-1, _z(u, v))],
                              "<=", 0)
-    for u, v, _ in g.edges:
-        for s in range(k):
-            for t in range(k):
-                if s != t:
-                    m.add_constraint(f"induced_{u}_{v}_{s}_{t}",
-                                     [(1, _x(u, s)), (1, _x(v, t)), (-1, _y(s, t))],
-                                     "<=", 1)
+    _add_induced(m, g, k)
     for s in range(k):
         for t in range(s):
             m.add_constraint(f"lowertri_{s}_{t}", [(1, _y(s, t))], "=", 0)
@@ -184,42 +224,22 @@ def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool) ->
 
 def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     """MTZ-based acyclic partitioning model with part-size symmetry breaking."""
-    _check_k(opts)
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("nossack")
     _add_common(m, g, k, bound)
 
-    pos = g.topo.position
     triples = chained_triples(g)
     # z only for pairs the model actually references: edges and chained-triple
     # pairs; unreferenced pairs cannot affect the optimum
-    zpairs: list[tuple[int, int]] = []
-    seen = set()
-    for u, v, _ in g.edges:
-        if (u, v) not in seen:
-            seen.add((u, v))
-            zpairs.append((u, v))
-    for i, j, h in triples:
-        for pair in ((i, j), (j, h), (i, h)):
-            if pair not in seen:
-                seen.add(pair)
-                zpairs.append(pair)
-    zpairs.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
+    zpairs = _z_pairs(g, triples)
     for i, j in zpairs:
         _add_z(m, i, j, opts.relax_z)
-    for s in range(k):
-        for t in range(k):
-            if s != t:
-                m.add_binary(_y(s, t))
+    _add_y(m, k)
     for s in range(k):
         m.add_integer(_pi(s), 0, k - 1)
 
-    for i, j in zpairs:
-        for s in range(k):
-            m.add_constraint(f"samepart_{i}_{j}_{s}",
-                             [(1, _z(i, j)), (1, _x(i, s)), (-1, _x(j, s))],
-                             "<=", 1)
+    _add_same_part(m, "samepart", zpairs, k)
     for i, j, h in triples:
         zij, zjh, zih = _z(i, j), _z(j, h), _z(i, h)
         m.add_constraint(f"tri1_{i}_{j}_{h}",
@@ -231,13 +251,7 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
         m.add_constraint(f"tri4_{i}_{j}_{h}", [(1, zih), (-1, zij)], "<=", 0)
         m.add_constraint(f"tri5_{i}_{j}_{h}",
                          [(2, zih), (-1, zij), (-1, zjh)], "<=", 0)
-    for u, v, _ in g.edges:
-        for s in range(k):
-            for t in range(k):
-                if s != t:
-                    m.add_constraint(f"induced_{u}_{v}_{s}_{t}",
-                                     [(1, _x(u, s)), (1, _x(v, t)), (-1, _y(s, t))],
-                                     "<=", 1)
+    _add_induced(m, g, k)
     # big-M must cover the widest possible pi gap, which is k-1 when k > n
     big_m = max(g.n, k)
     for s in range(k):
@@ -251,8 +265,7 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
         terms += [(-1, _x(i, s - 1)) for i in range(g.n)]
         m.add_constraint(f"symmetry_{s}", terms, "<=", 0)
 
-    m.set_objective(MAXIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
-    _base_meta(m, "nossack", g, opts, bound, MAX_INTERNAL)
+    _finish(m, "nossack", g, opts, bound, MAX_INTERNAL)
     return m
 
 
@@ -264,11 +277,10 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
     the base topological families with the compact replacement constraints,
     plus zlink rows tying each same-part z to the x block).
     """
-    _check_k(opts)
-    if variant not in ("base", "extended", "final"):
-        raise ValueError(f"unknown Albareda variant {variant!r}")
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
+    if variant not in ("base", "extended", "final"):
+        raise ValueError(f"unknown Albareda variant {variant!r}")
     pos = g.topo.position
     a_tab = compute_A(g)
     pairs = sorted(a_tab.keys(), key=lambda p: (pos[p[0]], pos[p[1]]))
@@ -277,14 +289,9 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
 
     # z pool per variant: base needs only edge pairs (objective + topo3);
     # extended adds chained-triple pairs; final references every reachable
-    # pair through the per-vertex weight constraint
-    zset = {(u, v) for u, v, _ in g.edges}
-    if variant in ("extended", "final"):
-        for i, j, l in triples:
-            zset.update([(i, j), (j, l), (i, l)])
-    if variant == "final":
-        zset.update(pairs)
-    zpairs = sorted(zset, key=lambda p: (pos[p[0]], pos[p[1]]))
+    # pair through the per-vertex weight constraint, and every edge and
+    # chained-triple pair is one
+    zpairs = pairs if variant == "final" else _z_pairs(g, triples)
 
     m = LinearModel(f"albareda-{variant}")
     _add_common(m, g, k, bound)
@@ -320,7 +327,7 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
 
     if variant in ("extended", "final"):
         for i, j in zpairs:
-            if (i, j) in a_tab and a_tab[(i, j)] > bound:
+            if a_tab[(i, j)] > bound:
                 m.add_constraint(f"fixz_{i}_{j}", [(1, _z(i, j))], "=", 0)
         for i, j, l in triples:
             zij, zjl, zil = _z(i, j), _z(j, l), _z(i, l)
@@ -376,16 +383,9 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
             for s in range(k):
                 terms = [(-1, _z(i, j))] + prefix_ge(i, s) + prefix_le(j, s)
                 m.add_constraint(f"acyc2_{i}_{j}_{s}", terms, "<=", 1)
-        # z = 1 claims i and j share a part; without these rows nothing pins
-        # z to 0 on a cut edge, and a solver could claim a false cut
-        for i, j in zpairs:
-            for s in range(k):
-                m.add_constraint(f"zlink_{i}_{j}_{s}",
-                                 [(1, _z(i, j)), (1, _x(i, s)), (-1, _x(j, s))],
-                                 "<=", 1)
+        _add_same_part(m, "zlink", zpairs, k)
 
-    m.set_objective(MAXIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
-    _base_meta(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL)
+    _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL)
     return m
 
 
@@ -401,7 +401,8 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     indicators weighted by M = 1 + total edge cost so that minimizing part
     count dominates minimizing cut.
     """
-    _check_k(opts)
+    k = opts.k
+    bound = balance_bound(g, k, opts.eps)
     if strategy not in ("incremental", "bigm"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(nq) != g.n:
@@ -411,10 +412,9 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
         if mask.bit_count() > lm:
             raise QubitCapacityInfeasibleError(
                 f"vertex {i} touches more than L_m={lm} qubits")
-    k = opts.k
-    bound = balance_bound(g, k, opts.eps)
     m = LinearModel(f"quantum-{strategy}")
     _proposed_core(m, g, k, bound, opts.relax_z)
+    _finish(m, "quantum", g, opts, bound, MIN_CUT)
     for s in range(k):
         for q in range(n_qubits):
             m.add_binary(_pq(s, q))
@@ -434,40 +434,31 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
             for s in range(k):
                 m.add_constraint(f"used_{i}_{s}",
                                  [(1, _x(i, s)), (-1, _u(s))], "<=", 0)
+        # the part-used penalties come before the edge objective _finish set
         terms = [(big_m, _u(s)) for s in range(k)]
-        terms += [(c, _z(u, v)) for u, v, c in g.edges]
-        m.set_objective(MINIMIZE, terms)
+        m.set_objective(MINIMIZE, terms + list(m.objective_terms))
         m.meta["big_m"] = big_m
-    else:
-        m.set_objective(MINIMIZE, [(c, _z(u, v)) for u, v, c in g.edges])
-    _base_meta(m, "quantum", g, opts, bound, MIN_CUT)
     m.meta.update({"nq": tuple(nq), "lm": lm, "strategy": strategy})
     return m
 
 
+_BUILDERS = {
+    "undirected": build_undirected,
+    "nossack": build_nossack,
+    "albareda-base": partial(build_albareda, variant="base"),
+    "albareda-extended": partial(build_albareda, variant="extended"),
+    "albareda-final": partial(build_albareda, variant="final"),
+    "proposed": build_proposed,
+}
+
+FORMULATION_NAMES = tuple(_BUILDERS)
+
+
 def build_formulation(name: str, g: Dag, opts: BuildOptions) -> LinearModel:
     """Build one of the named non-quantum formulations."""
-    if name == "undirected":
-        return build_undirected(g, opts)
-    if name == "nossack":
-        return build_nossack(g, opts)
-    if name == "proposed":
-        return build_proposed(g, opts)
-    if name.startswith("albareda-"):
-        variant = name.split("-", 1)[1]
-        return build_albareda(g, opts, variant=variant)
-    raise ValueError(f"unknown formulation {name!r}")
-
-
-def _quotient_levels(g: Dag, p: Partition):
-    """Kahn positions of parts in the quotient graph, or None if cyclic."""
-    order = part_order(p.k, quotient_graph(g, p).edge_costs)
-    if len(order) < p.k:
-        return None
-    level = [0] * p.k
-    for idx, s in enumerate(order):
-        level[s] = idx
-    return level
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown formulation {name!r}")
+    return _BUILDERS[name](g, opts)
 
 
 # Integer fields that canonical_assignment reads after each variable's tag.
@@ -524,7 +515,7 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
             out[name] = int((a, b) in adjacency)
         elif tag == "pi":
             if levels is None:
-                levels = _quotient_levels(g, p) or list(range(p.k))
+                levels = part_levels(g, p) or list(range(p.k))
             out[name] = levels[a]
         elif tag == "pq":
             out[name] = int(any(part[i] == a and nq[i] >> b & 1

@@ -1,12 +1,12 @@
 """Solver-agnostic MILP container with LP emission, solution ingestion, evaluation.
 
-All arithmetic is exact and involves no floats.  Coefficients are
-normalised once, when a constraint or the objective is added, and values
-once, when a solution is read or evaluated: a number that is integral is
-kept as a plain int, any other as a `Fraction` (a float becomes the
-`Fraction` of its exact binary value).  int and `Fraction` arithmetic mix
-without rounding, so `evaluate` checks constraints exactly after
-integrality rounding.
+All arithmetic is exact and involves no floats.  Bounds and coefficients
+are normalised once, when a variable, a constraint or the objective is
+added, and values once, when a solution is read or evaluated: a number
+that is integral is kept as a plain int, any other as a `Fraction` (a
+float becomes the `Fraction` of its exact binary value).  int and
+`Fraction` arithmetic mix without rounding, so `evaluate` checks
+constraints exactly after integrality rounding.
 """
 
 from __future__ import annotations
@@ -79,24 +79,26 @@ class LinearModel:
         self.constraints: list[Constraint] = []
         self.objective_sense = MINIMIZE
         self.objective_terms: tuple = ()
-        self.objective_offset: Fraction | int = 0
         self.meta: dict = {}
 
-    def _add_var(self, var: Variable) -> str:
-        if var.name in self._index:
-            raise ValueError(f"duplicate variable name {var.name!r}")
+    def _add_var(self, name: str, kind: str, lb, ub) -> str:
+        if name in self._index:
+            raise ValueError(f"duplicate variable name {name!r}")
+        lb, ub = (None if b is None else _exact(b, f"bounds of {name}")
+                  for b in (lb, ub))
+        var = Variable(name, kind, lb, ub)
         self.variables.append(var)
-        self._index[var.name] = var
-        return var.name
+        self._index[name] = var
+        return name
 
     def add_binary(self, name: str) -> str:
-        return self._add_var(Variable(name, BINARY, 0, 1))
+        return self._add_var(name, BINARY, 0, 1)
 
     def add_integer(self, name: str, lb: int, ub: int) -> str:
-        return self._add_var(Variable(name, INTEGER, lb, ub))
+        return self._add_var(name, INTEGER, lb, ub)
 
     def add_continuous(self, name: str, lb, ub) -> str:
-        return self._add_var(Variable(name, CONTINUOUS, lb, ub))
+        return self._add_var(name, CONTINUOUS, lb, ub)
 
     def var(self, name: str) -> Variable:
         return self._index[name]
@@ -116,7 +118,7 @@ class LinearModel:
         self.constraints.append(Constraint(name, tuple(checked), sense,
                                            _exact(rhs, name)))
 
-    def set_objective(self, sense: str, terms, offset=0) -> None:
+    def set_objective(self, sense: str, terms) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
             raise ValueError(f"bad objective sense {sense!r}")
         checked = []
@@ -126,11 +128,10 @@ class LinearModel:
             checked.append((_exact(coef, "objective"), var_name))
         self.objective_sense = sense
         self.objective_terms = tuple(checked)
-        self.objective_offset = _exact(offset, "objective")
 
 
 def _fmt_num(value) -> str:
-    value = _exact(value, "LP output")
+    """An int or Fraction, as normalised when it was added to the model."""
     return str(value) if type(value) is int else repr(float(value))
 
 
@@ -151,12 +152,7 @@ def write_lp(m: LinearModel) -> str:
     """Emit the model as deterministic CPLEX-LP-format text."""
     lines = [f"\\ Problem: {m.name}"]
     lines.append("Maximize" if m.objective_sense == MAXIMIZE else "Minimize")
-    obj = _fmt_terms(m.objective_terms)
-    offset = m.objective_offset
-    if offset:
-        tail = f"+ {_fmt_num(offset)}" if offset > 0 else f"- {_fmt_num(-offset)}"
-        obj = f"{obj} {tail}".strip()
-    lines.append(f" obj: {obj}".rstrip())
+    lines.append(f" obj: {_fmt_terms(m.objective_terms)}".rstrip())
     lines.append("Subject To")
     for con in m.constraints:
         lines.append(f" {con.name}: {_fmt_terms(con.terms)} {con.sense} "
@@ -270,5 +266,4 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
                 if early_exit:
                     break
     objective = sum(coef * values[name] for coef, name in m.objective_terms)
-    objective += m.objective_offset
     return EvalResult(not violations, tuple(violations), objective)

@@ -106,9 +106,8 @@ def validate(g: Dag, p: Partition, k: int | None = None, eps=0) -> ValidationRep
     if cycle is not None:
         violations.append(
             "quotient cycle through parts " + " -> ".join(map(str, cycle)))
-    cut = edge_cut(g, p)
-    return ValidationReport(cut, part_weights, bound, balanced, acyclic,
-                            tuple(violations))
+    return ValidationReport(quotient.total_edge_cost, part_weights, bound,
+                            balanced, acyclic, tuple(violations))
 
 
 def partition_to_text(p: Partition) -> str:
@@ -139,18 +138,28 @@ def write_partition_file(p: Partition, path) -> None:
         fh.write(partition_to_text(p))
 
 
+def part_levels(g: Dag, p: Partition) -> list[int] | None:
+    """Each part's position in the Kahn order of the quotient graph, the
+    smallest ready id first and empty parts included; None if the quotient
+    graph is cyclic."""
+    order = part_order(p.k, quotient_graph(g, p).edge_costs)
+    if len(order) < p.k:
+        return None
+    level = [0] * p.k
+    for idx, s in enumerate(order):
+        level[s] = idx
+    return level
+
+
 def renumber_topologically(g: Dag, assignment: Sequence[int], k: int) -> Partition:
     """Relabel part ids along a topological order of the quotient graph.
 
     Requires the partition to be acyclic; part ids then satisfy
-    part(u) <= part(v) for every edge (u, v).  Parts are numbered in Kahn
-    order, the smallest ready old id first, empty parts included.
+    part(u) <= part(v) for every edge (u, v).  Parts are numbered by
+    `part_levels`.
     """
     p = Partition(tuple(assignment), k)
-    order = part_order(k, quotient_graph(g, p).edge_costs)
-    if len(order) < k:
+    new_id = part_levels(g, p)
+    if new_id is None:
         raise ValueError("cannot renumber a cyclic partition topologically")
-    new_id = [0] * k
-    for idx, s in enumerate(order):
-        new_id[s] = idx
     return Partition(tuple(new_id[a] for a in p.assignment), k)

@@ -125,8 +125,12 @@ def test_relax_z_makes_continuous():
 
 def test_invalid_inputs():
     g = chain(3)
-    with pytest.raises(InvalidKError):
-        build_proposed(g, BuildOptions(k=0))
+    for name in FORMULATION_NAMES:
+        with pytest.raises(InvalidKError):
+            build_formulation(name, g, BuildOptions(k=0))
+    for strategy in ("incremental", "bigm"):
+        with pytest.raises(InvalidKError):
+            build_quantum(g, BuildOptions(k=0), [1, 1, 1], 1, strategy=strategy)
     with pytest.raises(ValueError):
         build_albareda(g, BuildOptions(k=2), variant="bogus")
     with pytest.raises(ValueError):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from dagpart import Dag
-from dagpart.formulations import chained_triples
-from dagpart.preprocess import a_prime_value, compute_A
+from dagpart.formulations import a_prime_value, chained_triples, compute_A
 
 from conftest import chain, diamond, random_dag
 
