@@ -45,7 +45,11 @@ from .formulations import (
     exhaustive_model_optimum,
 )
 from .model import evaluate, read_solution, write_lp
-from .multilevel import DEFAULT_REFINE_BUDGET, multilevel_partition
+from .multilevel import (
+    DEFAULT_REFINE_BUDGET,
+    FINEST_POLISH_FACTOR,
+    multilevel_partition,
+)
 from .qcircuit import (
     circuit_to_dag,
     min_parts_partition,
@@ -268,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml = sub.add_parser("multilevel", help="coarsen, solve, project, refine")
     add_graph_ke(p_ml)
     p_ml.add_argument("--target-n", type=int, default=8)
-    p_ml.add_argument("--budget-nodes", type=int, default=DEFAULT_REFINE_BUDGET)
+    p_ml.add_argument("--budget-nodes", type=int, default=DEFAULT_REFINE_BUDGET,
+                      help="node cap of the initial search and of each "
+                           "branch-and-bound polish; the final polish, on the "
+                           f"input graph, gets {FINEST_POLISH_FACTOR}x "
+                           "(default %(default)s)")
     p_ml.add_argument("--out")
     p_ml.set_defaults(func=cmd_multilevel)
 

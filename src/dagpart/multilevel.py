@@ -3,9 +3,12 @@ projection, and per-level refinement.
 
 Coarsening contracts one edge (u, v) per level, and only when no other u->v
 path exists, so every coarse graph, and hence the quotient of every
-projected partition, stays acyclic.  Each projected partition is first
-improved by greedy boundary moves that keep the part numbering topological
-(`refine_moves`), then polished by a short, warm-started branch and bound.
+projected partition, stays acyclic.  Each projected partition is improved by
+greedy boundary moves that keep the part numbering topological
+(`refine_moves`).  Every POLISH_STRIDE-th level, counted from the input
+graph, is then polished by a short, warm-started branch and bound; the
+polish of the input graph, whose partition is returned, gets
+FINEST_POLISH_FACTOR times the budget.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
 
 DEFAULT_REFINE_BUDGET = 1_000
+# One-edge coarsening makes neighbouring levels differ by one vertex, so
+# their polishes search almost the same tree: polish every fourth level only.
+# Skipping levels alone raised the cut; a larger polish of the input graph,
+# whose partition is returned, wins it back.
+POLISH_STRIDE = 4
+FINEST_POLISH_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,11 @@ def _contract(g: Dag, u: int, v: int):
     return Dag(weights, edges), tuple(mapping)
 
 
+def _check_target_n(target_n: int) -> None:
+    if target_n < 2:
+        raise ValueError(f"target_n must be >= 2, got {target_n}")
+
+
 def coarsen(g: Dag, target_n: int,
             max_weight: int | None = None) -> list[CoarseningLevel]:
     """Contract heavy edges one at a time while preserving acyclicity.
@@ -86,8 +100,7 @@ def coarsen(g: Dag, target_n: int,
     partitionable under the balance bound.  Stops at target_n vertices or
     when no such edge remains.
     """
-    if target_n < 2:
-        raise ValueError(f"target_n must be >= 2, got {target_n}")
+    _check_target_n(target_n)
     levels: list[CoarseningLevel] = []
     current = g
     while current.n > target_n:
@@ -194,9 +207,13 @@ def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
 def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
                      coarse_partition: Partition, k: int, eps=0,
                      budget_nodes: int = DEFAULT_REFINE_BUDGET) -> Partition:
-    """Project level by level; refine each level by `refine_moves`, then
-    polish with branch and bound warm-started from the moved partition and
-    capped at budget_nodes nodes.
+    """Project level by level and refine each level by `refine_moves`.
+
+    Level idx counts from the input graph g (idx 0).  Where idx is a
+    multiple of POLISH_STRIDE, the moved partition is then polished by
+    branch and bound warm-started from it and capped at budget_nodes nodes,
+    or at FINEST_POLISH_FACTOR * budget_nodes on g itself, whose partition
+    is returned.
 
     coarse_partition must number its parts topologically, as
     `branch_and_bound` does; projection keeps that numbering.
@@ -208,8 +225,11 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
         finer = graphs[idx]
         current = project(current, levels[idx].mapping, finer.n)
         current = refine_moves(finer, current, k, bound)
+        if idx % POLISH_STRIDE:
+            continue
+        nodes = budget_nodes * FINEST_POLISH_FACTOR if idx == 0 else budget_nodes
         result = branch_and_bound(finer, k, eps, warm=current,
-                                  budget=SolveBudget(max_nodes=budget_nodes))
+                                  budget=SolveBudget(max_nodes=nodes))
         if result.partition is not None:
             current = result.partition
     return current
@@ -221,8 +241,12 @@ def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
 
     info["fallbacks"] counts the levels given up at the initial solve, by
     reason: "infeasible" (proven) or "budget" (the search ran out first).
-    When even the finest graph fails, the last error is raised.
+    When even the finest graph fails, the last error is raised.  target_n
+    below 2 and a negative budget_nodes raise ValueError before any work.
     """
+    _check_target_n(target_n)
+    if budget_nodes < 0:
+        raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
     cap = balance_bound(g, k, eps)
     levels = coarsen(g, target_n, max_weight=cap) if g.n > target_n else []
     # The weight cap keeps the coarsest graph partitionable in the common

@@ -268,6 +268,18 @@ def test_multilevel_budget_stop_exit_2(capsys, tmp_path):
     assert "infeasible" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--target-n", "1"),
+                                         ("--budget-nodes", "-1")])
+def test_multilevel_bad_target_or_budget_exit_2(capsys, tmp_path, flag, value):
+    path = tmp_path / "one.dag"
+    write_dag_file(Dag([1], []), path)
+    code, payload, err = run(capsys, "multilevel", "--graph", str(path),
+                             "--k", "1", flag, value)
+    assert code == 2
+    assert payload is None
+    assert "error:" in err
+
+
 def test_multilevel_budget_default_is_the_library_default():
     args = build_parser().parse_args(["multilevel", "--graph", "g.dag", "--k", "2"])
     assert args.budget_nodes == DEFAULT_REFINE_BUDGET

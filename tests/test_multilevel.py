@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import dagpart.multilevel
 from dagpart import (
     Dag,
     Partition,
@@ -24,6 +25,7 @@ from dagpart.errors import (
     InfeasibleInstanceError,
     InvalidProjectionError,
 )
+from dagpart.exact import branch_and_bound
 from dagpart.multilevel import _contract, _contraction_safe, initial_partition
 
 from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
@@ -176,6 +178,56 @@ def test_multilevel_budget_stop_raises_when_no_level_left():
         multilevel_partition(chain(4), 2, budget_nodes=3)
 
 
+def test_multilevel_rejects_target_below_two():
+    # a one-vertex graph never reaches coarsen, which has its own check
+    with pytest.raises(ValueError, match="target_n"):
+        multilevel_partition(Dag([1], []), 1, target_n=1)
+
+
+def test_multilevel_rejects_negative_budget_before_coarsening(monkeypatch):
+    def coarsen_must_not_run(*args, **kwargs):
+        raise AssertionError("coarsen ran before the budget was checked")
+
+    monkeypatch.setattr(dagpart.multilevel, "coarsen", coarsen_must_not_run)
+    with pytest.raises(ValueError, match="budget_nodes"):
+        multilevel_partition(chain(10), 2, budget_nodes=-1)
+
+
+def test_uncoarsen_refine_polish_schedule(monkeypatch):
+    # moves on every level; the warm-started polish only on every fourth
+    # level counted from the input graph (idx 0), which gets 10x the budget
+    coarsened, moved, polished = [], [], []
+
+    def coarsen_spy(*args, **kwargs):
+        levels = coarsen(*args, **kwargs)
+        coarsened.append(levels)
+        return levels
+
+    def moves_spy(g, *args, **kwargs):
+        moved.append(g)
+        return refine_moves(g, *args, **kwargs)
+
+    def bnb_spy(g, *args, **kwargs):
+        if kwargs.get("warm") is not None:
+            polished.append((g, kwargs["budget"].max_nodes))
+        return branch_and_bound(g, *args, **kwargs)
+
+    monkeypatch.setattr(dagpart.multilevel, "coarsen", coarsen_spy)
+    monkeypatch.setattr(dagpart.multilevel, "refine_moves", moves_spy)
+    monkeypatch.setattr(dagpart.multilevel, "branch_and_bound", bnb_spy)
+    g = chain(24)
+    p, info = multilevel_partition(g, 2, target_n=2, budget_nodes=200)
+    assert validate(g, p, 2, 0).feasible
+    [levels] = coarsened
+    assert info["levels"] == len(levels) >= 9
+    graphs = [g] + [level.graph for level in levels]
+    idx_of = {id(h): idx for idx, h in enumerate(graphs)}
+    order = list(range(len(levels) - 1, -1, -1))
+    assert [idx_of[id(h)] for h in moved] == order
+    assert [(idx_of[id(h)], nodes) for h, nodes in polished] == [
+        (idx, 2000 if idx == 0 else 200) for idx in order if idx % 4 == 0]
+
+
 def test_multilevel_falls_back_on_budget_stop():
     g = Dag([1, 3, 1, 3, 1, 3], [(0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)])
     p, info = multilevel_partition(g, 3, target_n=3, budget_nodes=12)
@@ -250,7 +302,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "037eb19bb856f50ba15449c75e7656b0a6b8a85961e189fe8c5f62c40aff5862"
+MULTILEVEL_PIN_SHA256 = "da4a246a91a9caa90cc4744d6539e81304da2d8884e717de3aef6dd58d2ed9d4"
 
 
 def test_multilevel_outputs_pinned():
@@ -262,3 +314,15 @@ def test_multilevel_outputs_pinned():
         count += 1
     assert count == 16
     assert digest.hexdigest() == MULTILEVEL_PIN_SHA256
+
+
+def test_multilevel_pin_cases_cut_sum():
+    # 626 is the sum when every level was polished; a later re-pin of the
+    # hash above cannot hide a cut regression past it
+    total = 0
+    for g, k in _multilevel_pin_cases():
+        p, _ = multilevel_partition(g, k, Fraction(1, 10))
+        report = validate(g, p, k, Fraction(1, 10))
+        assert report.feasible
+        total += report.cut
+    assert total <= 626
