@@ -1,14 +1,13 @@
 """Multilevel pipeline: acyclicity-safe coarsening, exact initial partitioning,
 projection, and per-level refinement.
 
-Coarsening contracts one edge (u, v) per level, and only when no other u->v
+Coarsening contracts one edge (u, v) at a time, and only when no other u->v
 path exists, so every coarse graph, and hence the quotient of every
-projected partition, stays acyclic.  Each projected partition is improved by
-greedy boundary moves that keep the part numbering topological
-(`refine_moves`).  Every POLISH_STRIDE-th level, counted from the input
-graph, is then polished by a short, warm-started branch and bound; the
-polish of the input graph, whose partition is returned, gets
-FINEST_POLISH_FACTOR times the budget.
+projected partition, stays acyclic; a level spans CONTRACTIONS_PER_LEVEL
+contractions.  Each projected partition is improved by greedy boundary moves
+that keep the part numbering topological (`refine_moves`), then polished by
+a short, warm-started branch and bound; the polish of the input graph, whose
+partition is returned, gets FINEST_POLISH_FACTOR times the budget.
 """
 
 from __future__ import annotations
@@ -21,17 +20,17 @@ from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
 
 DEFAULT_REFINE_BUDGET = 1_000
-# One-edge coarsening makes neighbouring levels differ by one vertex, so
-# their polishes search almost the same tree: polish every fourth level only.
-# Skipping levels alone raised the cut; a larger polish of the input graph,
-# whose partition is returned, wins it back.
-POLISH_STRIDE = 4
+# One-edge contractions make graphs that differ by one vertex, whose
+# polishes search almost the same tree, so a level spans four of them.
+# Refining fewer graphs alone raised the cut; a larger polish of the input
+# graph, whose partition is returned, wins it back.
+CONTRACTIONS_PER_LEVEL = 4
 FINEST_POLISH_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class CoarseningLevel:
-    """One contraction step: the coarser graph plus the fine->coarse mapping."""
+    """A coarser graph plus the fine->coarse mapping of the steps it spans."""
 
     graph: Dag
     mapping: tuple[int, ...]
@@ -94,15 +93,18 @@ def coarsen(g: Dag, target_n: int,
             max_weight: int | None = None) -> list[CoarseningLevel]:
     """Contract heavy edges one at a time while preserving acyclicity.
 
-    Each level contracts the first edge in (-cost, u, v) order that
+    Each step contracts the first edge in (-cost, u, v) order that
     `_contraction_safe` accepts and, with max_weight set, that does not
     make a vertex heavier than the cap, so the coarsest graph stays
     partitionable under the balance bound.  Stops at target_n vertices or
-    when no such edge remains.
+    when no such edge remains.  A level is recorded after every
+    CONTRACTIONS_PER_LEVEL steps, and once more for a shorter tail; its
+    mapping composes the steps it spans.
     """
     _check_target_n(target_n)
     levels: list[CoarseningLevel] = []
     current = g
+    mapping = tuple(range(g.n))
     while current.n > target_n:
         w = current.w
         by_cost = sorted(current.edges, key=lambda e: (-e[2], e[0], e[1]))
@@ -111,7 +113,13 @@ def coarsen(g: Dag, target_n: int,
                        and _contraction_safe(current, u, v)), None)
         if chosen is None:
             break
-        current, mapping = _contract(current, *chosen)
+        current, step = _contract(current, *chosen)
+        mapping = tuple(step[i] for i in mapping)
+        # each step removes one vertex
+        if len(mapping) - current.n == CONTRACTIONS_PER_LEVEL:
+            levels.append(CoarseningLevel(current, mapping))
+            mapping = tuple(range(current.n))
+    if len(mapping) > current.n:
         levels.append(CoarseningLevel(current, mapping))
     return levels
 
@@ -207,13 +215,12 @@ def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
 def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
                      coarse_partition: Partition, k: int, eps=0,
                      budget_nodes: int = DEFAULT_REFINE_BUDGET) -> Partition:
-    """Project level by level and refine each level by `refine_moves`.
+    """Project level by level; refine each finer graph by `refine_moves`,
+    then polish it by branch and bound warm-started from the moved partition.
 
-    Level idx counts from the input graph g (idx 0).  Where idx is a
-    multiple of POLISH_STRIDE, the moved partition is then polished by
-    branch and bound warm-started from it and capped at budget_nodes nodes,
-    or at FINEST_POLISH_FACTOR * budget_nodes on g itself, whose partition
-    is returned.
+    Each polish is capped at budget_nodes nodes, except the one of the input
+    graph g, whose partition is returned: it gets FINEST_POLISH_FACTOR times
+    that, and it runs even when levels is empty.
 
     coarse_partition must number its parts topologically, as
     `branch_and_bound` does; projection keeps that numbering.
@@ -225,30 +232,29 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
         finer = graphs[idx]
         current = project(current, levels[idx].mapping, finer.n)
         current = refine_moves(finer, current, k, bound)
-        if idx % POLISH_STRIDE:
-            continue
-        nodes = budget_nodes * FINEST_POLISH_FACTOR if idx == 0 else budget_nodes
-        result = branch_and_bound(finer, k, eps, warm=current,
-                                  budget=SolveBudget(max_nodes=nodes))
-        if result.partition is not None:
-            current = result.partition
-    return current
+        if idx:
+            current = branch_and_bound(finer, k, eps, warm=current,
+                                       budget=SolveBudget(max_nodes=budget_nodes)).partition
+    # a warm-started search always returns a partition, at worst the warm one
+    return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
+        max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
 
 
 def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
                          budget_nodes: int = DEFAULT_REFINE_BUDGET):
     """Full pipeline; returns (partition, info dict with level statistics).
 
-    info["fallbacks"] counts the levels given up at the initial solve, by
-    reason: "infeasible" (proven) or "budget" (the search ran out first).
-    When even the finest graph fails, the last error is raised.  target_n
+    info["levels"] counts the refined levels, not the contractions.  A failed
+    initial solve steps back one level; info["fallbacks"] counts these steps
+    by reason: "infeasible" (proven) or "budget" (the search ran out first).
+    When even the input graph fails, the last error is raised.  target_n
     below 2 and a negative budget_nodes raise ValueError before any work.
     """
     _check_target_n(target_n)
     if budget_nodes < 0:
         raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
     cap = balance_bound(g, k, eps)
-    levels = coarsen(g, target_n, max_weight=cap) if g.n > target_n else []
+    levels = coarsen(g, target_n, max_weight=cap)
     # The weight cap keeps the coarsest graph partitionable in the common
     # case, but interactions between balance and acyclicity can still make
     # it infeasible, and the budget can run out before a partition is found;

@@ -26,7 +26,12 @@ from dagpart.errors import (
     InvalidProjectionError,
 )
 from dagpart.exact import branch_and_bound
-from dagpart.multilevel import _contract, _contraction_safe, initial_partition
+from dagpart.multilevel import (
+    CONTRACTIONS_PER_LEVEL,
+    _contract,
+    _contraction_safe,
+    initial_partition,
+)
 
 from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
 
@@ -53,31 +58,46 @@ def _contracts_to_dag(g, u, v):
         return None
 
 
+def _first_contraction(g, cap):
+    """The first edge in (-cost, u, v) order whose contraction stays under
+    the cap and still builds a Dag, contracted; None if there is none."""
+    for u, v, _ in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
+        if cap is not None and g.w[u] + g.w[v] > cap:
+            continue
+        chosen = _contracts_to_dag(g, u, v)
+        assert (chosen is not None) == _contraction_safe(g, u, v)
+        if chosen is not None:
+            return chosen
+    return None
+
+
 def test_coarsen_contracts_first_acyclic_edge_under_cap():
     # oracle: merging u and v closes a cycle iff another u->v path exists, so
-    # each level must contract the first edge in (-cost, u, v) order whose
-    # contraction stays under the cap and still builds a Dag
+    # each step must contract the first edge in (-cost, u, v) order whose
+    # contraction stays under the cap and still builds a Dag.  A level spans
+    # CONTRACTIONS_PER_LEVEL steps, the last one 1 to CONTRACTIONS_PER_LEVEL,
+    # and its mapping composes theirs.
     for g, target, cap in _coarsen_cases():
         levels = coarsen(g, target, max_weight=cap)
         current = g
-        for level in levels + [None]:
-            chosen = None
-            for u, v, _ in sorted(current.edges, key=lambda e: (-e[2], e[0], e[1])):
-                if cap is not None and current.w[u] + current.w[v] > cap:
-                    continue
-                chosen = _contracts_to_dag(current, u, v)
-                assert (chosen is not None) == _contraction_safe(current, u, v)
-                if chosen is not None:
+        for pos, level in enumerate(levels):
+            mapping = tuple(range(current.n))
+            steps = 0
+            while steps < CONTRACTIONS_PER_LEVEL and current.n > target:
+                chosen = _first_contraction(current, cap)
+                if chosen is None:
                     break
-            if level is None:
-                # coarsening stopped: at the target, or no candidate left
-                assert current.n <= target or chosen is None
-                break
-            assert chosen is not None
-            coarse, mapping = chosen
-            assert (coarse.w, coarse.edges, mapping) == (
+                current, step = chosen
+                mapping = tuple(step[i] for i in mapping)
+                steps += 1
+            if pos < len(levels) - 1:
+                assert steps == CONTRACTIONS_PER_LEVEL
+            assert 1 <= steps
+            assert (current.w, current.edges, mapping) == (
                 level.graph.w, level.graph.edges, level.mapping)
             current = level.graph
+        # coarsening stopped: at the target, or no candidate left
+        assert current.n <= target or _first_contraction(current, cap) is None
 
 
 def test_contract_merges_weights_and_costs():
@@ -95,7 +115,7 @@ def test_coarsen_conserves_weight():
     previous = g
     for level in levels:
         assert level.graph.total_weight == previous.total_weight
-        assert level.graph.n == previous.n - 1
+        assert level.graph.n == max(previous.n - CONTRACTIONS_PER_LEVEL, 4)
         previous = level.graph
     assert levels[-1].graph.n == 4
 
@@ -194,8 +214,8 @@ def test_multilevel_rejects_negative_budget_before_coarsening(monkeypatch):
 
 
 def test_uncoarsen_refine_polish_schedule(monkeypatch):
-    # moves on every level; the warm-started polish only on every fourth
-    # level counted from the input graph (idx 0), which gets 10x the budget
+    # moves, then a warm-started polish, on every level; the input graph
+    # (idx 0), whose partition is returned, gets 10x the budget
     coarsened, moved, polished = [], [], []
 
     def coarsen_spy(*args, **kwargs):
@@ -219,20 +239,33 @@ def test_uncoarsen_refine_polish_schedule(monkeypatch):
     p, info = multilevel_partition(g, 2, target_n=2, budget_nodes=200)
     assert validate(g, p, 2, 0).feasible
     [levels] = coarsened
-    assert info["levels"] == len(levels) >= 9
+    assert info["levels"] == len(levels) >= 3
     graphs = [g] + [level.graph for level in levels]
     idx_of = {id(h): idx for idx, h in enumerate(graphs)}
     order = list(range(len(levels) - 1, -1, -1))
     assert [idx_of[id(h)] for h in moved] == order
     assert [(idx_of[id(h)], nodes) for h, nodes in polished] == [
-        (idx, 2000 if idx == 0 else 200) for idx in order if idx % 4 == 0]
+        (idx, 2000 if idx == 0 else 200) for idx in order]
+
+
+def test_multilevel_polishes_input_graph_without_levels():
+    # n <= target_n, so the initial solve runs on the input graph itself and
+    # stops on its 1,000-node budget at cut 10; the 10,000-node final polish,
+    # warm-started from it, still runs and reaches the optimum
+    g = Dag([2, 2, 3, 2, 3, 3, 2, 1],
+            [(0, 1, 2), (0, 4, 2), (0, 6, 3), (1, 7, 1), (2, 3, 2), (2, 4, 1),
+             (2, 6, 2), (2, 7, 1), (3, 6, 3), (6, 7, 2)])
+    eps = Fraction(1, 2)
+    p, info = multilevel_partition(g, 4, eps)
+    assert info["levels"] == 0
+    assert validate(g, p, 4, eps).cut == brute_force(g, 4, eps).cut == 9
 
 
 def test_multilevel_falls_back_on_budget_stop():
     g = Dag([1, 3, 1, 3, 1, 3], [(0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)])
     p, info = multilevel_partition(g, 3, target_n=3, budget_nodes=12)
     assert info["fallbacks"] == {"infeasible": 0, "budget": 1}
-    assert info["levels"] == 1
+    assert info["levels"] == 0
     assert validate(g, p, 3, 0).feasible
 
 
@@ -302,7 +335,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "da4a246a91a9caa90cc4744d6539e81304da2d8884e717de3aef6dd58d2ed9d4"
+MULTILEVEL_PIN_SHA256 = "ad39039d9b376ad82cbea3c0860029a060f7f3b039c70cc3899cf6c32c1393ab"
 
 
 def test_multilevel_outputs_pinned():
