@@ -322,6 +322,38 @@ def test_refine_moves_takes_lowest_part_on_ties():
     assert p.assignment == (0, 0, 0, 2, 2)
 
 
+# --- pinned coarsening levels ----------------------------------------------
+# sha256 over every level's (graph.w, graph.edges, mapping) that `coarsen`
+# returns on seeded random and id-shuffled layered DAGs, each without and
+# with a weight cap.  A rewrite of the contraction must keep the levels, their
+# vertex numbering and their edge order.
+
+def _coarsen_pin_cases():
+    rng = random.Random(7373)
+    for idx in range(20):
+        n = rng.randint(12, 90)
+        g = random_dag(rng, n, p=3 / n) if idx % 2 else layered_dag(rng, n)
+        target = rng.randint(2, 10)
+        yield g, target, None
+        yield g, target, balance_bound(g, rng.randint(2, 4), Fraction(1, 10))
+
+
+COARSEN_PIN_SHA256 = "df19c13f08112f3d4f900208d895988d9b6f7c5a73eef4d0cf4c911f9402018d"
+
+
+def test_coarsen_levels_pinned():
+    digest = hashlib.sha256()
+    cases = levels = 0
+    for g, target, cap in _coarsen_pin_cases():
+        for level in coarsen(g, target, max_weight=cap):
+            digest.update(repr((level.graph.w, level.graph.edges, level.mapping)).encode())
+            levels += 1
+        digest.update(b"|")
+        cases += 1
+    assert (cases, levels) == (40, 436)
+    assert digest.hexdigest() == COARSEN_PIN_SHA256
+
+
 # --- pinned pipeline outputs -----------------------------------------------
 # sha256 over (assignment, info) of multilevel_partition on seeded graphs.
 # Coarsening, the initial solve, the moves and the polish all reach these
