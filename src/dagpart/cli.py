@@ -194,9 +194,26 @@ def cmd_multilevel(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
+def _check_quantum_flags(args) -> None:
+    """Reject the flags that the chosen strategy would ignore."""
+    if args.strategy == "bigm":
+        if not args.emit_lp:
+            raise DagPartError("--strategy bigm requires --emit-lp PATH")
+        if args.engine is not None:
+            raise DagPartError("--strategy bigm takes no --engine: "
+                               "the model is solved outside dagpart")
+        if args.out and not args.solution:
+            raise DagPartError("--strategy bigm writes --out only from a --solution")
+        return
+    given = [flag for flag, value in (("--emit-lp", args.emit_lp),
+                                      ("--solution", args.solution), ("--k", args.k))
+             if value is not None]
+    if given:
+        raise DagPartError(f"only --strategy bigm takes {', '.join(given)}")
+
+
 def cmd_quantum(args) -> int:
-    if args.strategy == "bigm" and not args.emit_lp:
-        raise DagPartError("--strategy bigm requires --emit-lp PATH")
+    _check_quantum_flags(args)
     with open(args.circuit, "r", encoding="ascii") as fh:
         circuit = parse_circuit(fh.read())
     g, nq = circuit_to_dag(circuit)
@@ -217,7 +234,7 @@ def cmd_quantum(args) -> int:
             part_mod.write_partition_file(p, args.out)
         return EXIT_OK
     k, p, cut = min_parts_partition(g, nq, eps=args.eps, lm=args.lm,
-                                    engine=args.engine)
+                                    engine=args.engine or "bnb")
     _emit({"k": k, "cut": cut, "part_qubits": part_qubit_counts(nq, p)})
     if args.out:
         part_mod.write_partition_file(p, args.out)
@@ -284,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--circuit", required=True)
     p_q.add_argument("--lm", type=int, required=True)
     p_q.add_argument("--eps", type=_eps, default=Fraction(0))
-    p_q.add_argument("--engine", choices=["brute", "bnb"], default="bnb")
+    p_q.add_argument("--engine", choices=["brute", "bnb"],
+                     help="incremental strategy only (default bnb)")
     p_q.add_argument("--strategy", choices=["incremental", "bigm"],
                      default="incremental")
     p_q.add_argument("--k", type=int, default=None,

@@ -76,10 +76,10 @@ def _extract_cycle(remaining: set[int], pred) -> list[int]:
 class Dag:
     """A simple directed acyclic graph with vertex weights and edge costs.
 
-    Construction validates the input: vertex ids in range, non-negative
-    weights and costs, no self-loops, no parallel edges, and no directed
-    cycle.  The instance is immutable afterwards and safe to share between
-    threads.
+    Construction validates the input: vertex ids in range, integral
+    non-negative weights and costs, no self-loops, no parallel edges, and no
+    directed cycle.  The instance is immutable afterwards and safe to share
+    between threads.
 
     Reachability is held as Python-int bitsets (bit v of
     `descendant_masks[u]` is set iff u reaches v), built on the first
@@ -90,15 +90,19 @@ class Dag:
     def __init__(self, weights: Sequence[int], edges: Iterable[tuple[int, int, int]]):
         self.w = tuple(int(x) for x in weights)
         self.n = len(self.w)
-        for i, wi in enumerate(self.w):
+        for i, (wi, x) in enumerate(zip(self.w, weights)):
+            if wi != x:
+                raise ValueError(f"non-integral weight {x!r} at vertex {i}")
             if wi < 0:
                 raise ValueError(f"negative weight {wi} at vertex {i}")
 
         succ: list[list[int]] = [[] for _ in range(self.n)]
         pred: list[list[int]] = [[] for _ in range(self.n)]
         cost: dict[tuple[int, int], int] = {}
-        for u, v, c in edges:
-            u, v, c = int(u), int(v), int(c)
+        for eu, ev, ec in edges:
+            u, v, c = int(eu), int(ev), int(ec)
+            if c != ec or u != eu or v != ev:
+                raise ValueError(f"non-integral value in edge ({eu!r}, {ev!r}, {ec!r})")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             if c < 0:

@@ -3,11 +3,14 @@ projection, and per-level refinement.
 
 Coarsening contracts one edge (u, v) at a time, and only when no other u->v
 path exists, so every coarse graph, and hence the quotient of every
-projected partition, stays acyclic; a level spans CONTRACTIONS_PER_LEVEL
-contractions.  Each projected partition is improved by greedy boundary moves
-that keep the part numbering topological (`refine_moves`), then polished by
-a short, warm-started branch and bound; the polish of the input graph, whose
-partition is returned, gets FINEST_POLISH_FACTOR times the budget.
+projected partition, stays acyclic.  It merges v into u in place, keeping
+a topological order by reordering the vertices between u and v, and builds
+a `Dag` only for each level, which spans CONTRACTIONS_PER_LEVEL
+contractions.  Each projected partition is improved by greedy boundary
+moves that keep the part numbering topological (`refine_moves`), then
+polished by a short, warm-started branch and bound; the polish of the input
+graph, whose partition is returned, gets FINEST_POLISH_FACTOR times the
+budget.
 """
 
 from __future__ import annotations
@@ -36,52 +39,28 @@ class CoarseningLevel:
     mapping: tuple[int, ...]
 
 
-def _contraction_safe(g: Dag, u: int, v: int) -> bool:
+def _contraction_safe(succ, position, u: int, v: int) -> set[int] | None:
     """Contracting edge (u, v) is safe iff no u->v path survives without it.
 
-    The search never enters a vertex placed after v in the topological
-    order, since none can reach v; when v directly follows u it has nothing
-    to visit.
+    Returns None when another u->v path exists, and otherwise the vertices
+    that u reaches before v in the topological order.  The search never
+    enters a vertex placed after v, since none can reach v; when v directly
+    follows u it has nothing to visit.
     """
-    position = g.topo.position
     last = position[v]
     seen = set()
-    stack = [w for w in g.succ[u] if position[w] < last]
+    stack = [w for w in succ[u] if position[w] < last]
     while stack:
         a = stack.pop()
         if a in seen:
             continue
         seen.add(a)
-        for b in g.succ[a]:
+        for b in succ[a]:
             if b == v:
-                return False
+                return None
             if position[b] < last:
                 stack.append(b)
-    return True
-
-
-def _contract(g: Dag, u: int, v: int):
-    """Merge v into u; returns the coarser Dag and the old->new id mapping."""
-    mapping = []
-    next_id = 0
-    for i in range(g.n):
-        if i == v:
-            mapping.append(-1)
-        else:
-            mapping.append(next_id)
-            next_id += 1
-    mapping[v] = mapping[u]
-    weights = [0] * (g.n - 1)
-    for i in range(g.n):
-        weights[mapping[i]] += g.w[i]
-    costs: dict[tuple[int, int], int] = {}
-    for a, b, c in g.edges:
-        na, nb = mapping[a], mapping[b]
-        if na == nb:
-            continue
-        costs[(na, nb)] = costs.get((na, nb), 0) + c
-    edges = sorted((a, b, c) for (a, b), c in costs.items())
-    return Dag(weights, edges), tuple(mapping)
+    return seen
 
 
 def _check_target_n(target_n: int) -> None:
@@ -97,30 +76,64 @@ def coarsen(g: Dag, target_n: int,
     `_contraction_safe` accepts and, with max_weight set, that does not
     make a vertex heavier than the cap, so the coarsest graph stays
     partitionable under the balance bound.  Stops at target_n vertices or
-    when no such edge remains.  A level is recorded after every
-    CONTRACTIONS_PER_LEVEL steps, and once more for a shorter tail; its
-    mapping composes the steps it spans.
+    when no such edge remains.
+
+    Contraction works in place: a cluster keeps the id of the endpoint u it
+    was merged into, along with its weight, its successor costs and its
+    place in a topological order.  Sorting the clusters by id numbers them
+    as a rebuilt graph would, since merging v into u keeps the relative
+    order of the other ids.  A `Dag` is built only when a level is
+    recorded: after every CONTRACTIONS_PER_LEVEL steps, and once more for a
+    shorter tail.  A level's mapping sends each vertex of the level above
+    to its cluster.
     """
     _check_target_n(target_n)
+    weight = list(g.w)
+    succ = [{b: g.cost[(a, b)] for b in g.succ[a]} for a in range(g.n)]
+    order = list(g.topo.order)
+    position = list(g.topo.position)
+    above = list(range(g.n))  # cluster of each vertex of the level above
     levels: list[CoarseningLevel] = []
-    current = g
-    mapping = tuple(range(g.n))
-    while current.n > target_n:
-        w = current.w
-        by_cost = sorted(current.edges, key=lambda e: (-e[2], e[0], e[1]))
-        chosen = next(((u, v) for u, v, _ in by_cost
-                       if (max_weight is None or w[u] + w[v] <= max_weight)
-                       and _contraction_safe(current, u, v)), None)
-        if chosen is None:
+
+    def record() -> None:
+        ids = sorted(order)
+        index = {c: i for i, c in enumerate(ids)}
+        graph = Dag([weight[c] for c in ids],
+                    sorted((index[a], index[b], cost)
+                           for a in ids for b, cost in succ[a].items()))
+        levels.append(CoarseningLevel(graph, tuple(index[c] for c in above)))
+        above[:] = ids
+
+    while len(order) > target_n:
+        for _, u, v in sorted((-cost, a, b) for a in order for b, cost in succ[a].items()):
+            if ((max_weight is None or weight[u] + weight[v] <= max_weight)
+                    and (reached := _contraction_safe(succ, position, u, v)) is not None):
+                break
+        else:
             break
-        current, step = _contract(current, *chosen)
-        mapping = tuple(step[i] for i in mapping)
+        # merge v into u: u takes v's weight and its in- and out-edges
+        weight[u] += weight[v]
+        for a in order:
+            cost = succ[a].pop(v, None)
+            if cost is not None and a != u:
+                succ[a][u] = succ[a].get(u, 0) + cost
+        for b, cost in succ[v].items():
+            succ[u][b] = succ[u].get(b, 0) + cost
+        # Between u and v, the vertices u does not reach come first, then
+        # the merged u, then the ones it reaches.  Nothing u reaches leads
+        # back to the others or to v, so the order stays topological.
+        first, last = position[u], position[v]
+        window = order[first + 1:last]
+        order[first:last + 1] = ([a for a in window if a not in reached] + [u]
+                                 + [a for a in window if a in reached])
+        for pos in range(first, len(order)):
+            position[order[pos]] = pos
+        above[:] = [u if c == v else c for c in above]
         # each step removes one vertex
-        if len(mapping) - current.n == CONTRACTIONS_PER_LEVEL:
-            levels.append(CoarseningLevel(current, mapping))
-            mapping = tuple(range(current.n))
-    if len(mapping) > current.n:
-        levels.append(CoarseningLevel(current, mapping))
+        if len(above) - len(order) == CONTRACTIONS_PER_LEVEL:
+            record()
+    if len(above) > len(order):
+        record()
     return levels
 
 

@@ -340,6 +340,48 @@ def test_quantum_bigm_requires_lp_path(capsys, tmp_path, monkeypatch):
     assert "--emit-lp" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--emit-lp", "{lp}", "--k", "5", "--solution", "nonexist.sol"],
+     "--emit-lp, --solution, --k"),
+    (["--emit-lp", "{lp}"], "--emit-lp"),
+    (["--k", "3"], "--k"),
+    (["--solution", "nonexist.sol"], "--solution"),
+])
+def test_quantum_incremental_rejects_bigm_flags(capsys, tmp_path, flags, named):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(GHZ)
+    lp = tmp_path / "m.lp"
+    code, payload, err = run(capsys, "quantum", "--circuit", str(circuit), "--lm", "2",
+                             *(flag.format(lp=lp) for flag in flags))
+    assert code == 2 and payload is None
+    assert f"only --strategy bigm takes {named}" in err
+    assert not lp.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--engine", "brute"], "takes no --engine"),
+    (["--engine", "bnb"], "takes no --engine"),
+    (["--out", "p.part"], "--out only from a --solution"),
+])
+def test_quantum_bigm_rejects_ignored_flags(capsys, tmp_path, flags, message):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(GHZ)
+    lp = tmp_path / "m.lp"
+    code, payload, err = run(capsys, "quantum", "--circuit", str(circuit), "--lm", "2",
+                             "--strategy", "bigm", "--emit-lp", str(lp), *flags)
+    assert code == 2 and payload is None
+    assert message in err
+    assert not lp.exists()
+
+
+def test_quantum_incremental_takes_engine(capsys, tmp_path):
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(GHZ)
+    code, payload, _ = run(capsys, "quantum", "--circuit", str(circuit),
+                           "--lm", "2", "--engine", "brute")
+    assert code == 0 and payload["k"] >= 2
+
+
 def test_quantum_circuit_parse_error_exit_2(capsys, tmp_path):
     circuit = tmp_path / "c.qc"
     circuit.write_text("h\n")

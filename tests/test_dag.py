@@ -54,6 +54,17 @@ def test_bad_endpoint_and_weight():
         Dag([1, -1], [])
 
 
+def test_non_integral_weight_and_cost_rejected():
+    with pytest.raises(ValueError, match="weight 0.5 at vertex 0"):
+        Dag([0.5, 0.5, 1.9], [(0, 1, 2), (1, 2, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 2.7\)"):
+        Dag([1, 1, 2], [(0, 1, 2.7), (1, 2, 0.9)])
+    # integral values of another type are kept as ints
+    g = Dag([2.0, 1], [(0, 1, 3.0)])
+    assert g.w == (2, 1) and g.edges == ((0, 1, 3),)
+    assert all(type(x) is int for x in g.w + g.edges[0])
+
+
 def test_reachability():
     g = diamond()
     assert g.descendants(0) == frozenset({1, 2, 3})

@@ -28,7 +28,6 @@ from dagpart.errors import (
 from dagpart.exact import branch_and_bound
 from dagpart.multilevel import (
     CONTRACTIONS_PER_LEVEL,
-    _contract,
     _contraction_safe,
     initial_partition,
 )
@@ -51,9 +50,25 @@ def _coarsen_cases():
         yield g, target, balance_bound(g, rng.randint(2, 4), Fraction(1, 10))
 
 
-def _contracts_to_dag(g, u, v):
+def _contract(g, u, v):
+    """Reference contraction: rebuild the graph with v merged into u, ids
+    compacted in order; returns the coarser Dag and the old->new mapping,
+    or None when the merge closes a cycle."""
+    mapping, next_id = [], 0
+    for i in range(g.n):
+        mapping.append(next_id)
+        next_id += i != v
+    mapping[v] = mapping[u]
+    weights = [0] * (g.n - 1)
+    for i in range(g.n):
+        weights[mapping[i]] += g.w[i]
+    costs = {}
+    for a, b, c in g.edges:
+        na, nb = mapping[a], mapping[b]
+        if na != nb:
+            costs[(na, nb)] = costs.get((na, nb), 0) + c
     try:
-        return _contract(g, u, v)
+        return Dag(weights, sorted((a, b, c) for (a, b), c in costs.items())), tuple(mapping)
     except CycleDetectedError:
         return None
 
@@ -64,8 +79,9 @@ def _first_contraction(g, cap):
     for u, v, _ in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
         if cap is not None and g.w[u] + g.w[v] > cap:
             continue
-        chosen = _contracts_to_dag(g, u, v)
-        assert (chosen is not None) == _contraction_safe(g, u, v)
+        chosen = _contract(g, u, v)
+        assert (chosen is not None) == (
+            _contraction_safe(g.succ, g.topo.position, u, v) is not None)
         if chosen is not None:
             return chosen
     return None
@@ -74,9 +90,9 @@ def _first_contraction(g, cap):
 def test_coarsen_contracts_first_acyclic_edge_under_cap():
     # oracle: merging u and v closes a cycle iff another u->v path exists, so
     # each step must contract the first edge in (-cost, u, v) order whose
-    # contraction stays under the cap and still builds a Dag.  A level spans
-    # CONTRACTIONS_PER_LEVEL steps, the last one 1 to CONTRACTIONS_PER_LEVEL,
-    # and its mapping composes theirs.
+    # contraction stays under the cap and still builds a Dag, as `_contract`
+    # rebuilds it.  A level spans CONTRACTIONS_PER_LEVEL steps, the last one
+    # 1 to CONTRACTIONS_PER_LEVEL, and its mapping composes theirs.
     for g, target, cap in _coarsen_cases():
         levels = coarsen(g, target, max_weight=cap)
         current = g
@@ -100,13 +116,35 @@ def test_coarsen_contracts_first_acyclic_edge_under_cap():
         assert current.n <= target or _first_contraction(current, cap) is None
 
 
+def test_contraction_safe_returns_what_u_reaches_before_v():
+    g = Dag([1] * 5, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 4, 1)])
+    succ, position = g.succ, g.topo.position
+    assert _contraction_safe(succ, position, 0, 1) == set()
+    assert _contraction_safe(succ, position, 0, 3) == {1, 2}
+    assert _contraction_safe(succ, position, 0, 4) is None
+
+
 def test_contract_merges_weights_and_costs():
     g = Dag([1, 2, 3], [(0, 1, 4), (0, 2, 1), (1, 2, 2)])
-    coarse, mapping = _contract(g, 0, 1)
-    assert coarse.n == 2
-    assert coarse.w == (3, 3)
-    assert mapping == (0, 0, 1)
-    assert coarse.cost[(0, 1)] == 3  # parallel edges summed, self-edge dropped
+    [level] = coarsen(g, 2)
+    assert level.graph.w == (3, 3)
+    assert level.mapping == (0, 0, 1)
+    # parallel edges summed, self-edge dropped
+    assert level.graph.edges == ((0, 1, 3),)
+
+
+def test_coarsen_builds_one_dag_per_level(monkeypatch):
+    built = []
+
+    def counting_dag(*args):
+        built.append(Dag(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dagpart.multilevel, "Dag", counting_dag)
+    levels = coarsen(chain(24), 2)
+    # 22 contractions, recorded four at a time plus a tail of two
+    assert len(levels) == 6
+    assert [level.graph for level in levels] == built
 
 
 def test_coarsen_conserves_weight():
