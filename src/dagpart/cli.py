@@ -23,6 +23,7 @@ from .errors import (
     InfeasibleInstanceError,
     InvalidWarmStartError,
     NoFeasibleKError,
+    PartitionParseError,
     QubitCapacityInfeasibleError,
     SelfLoopError,
     TooLargeError,
@@ -100,7 +101,7 @@ def cmd_partition(args) -> int:
     if args.warm:
         try:
             warm = part_mod.read_partition_file(args.warm, k=args.k)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, PartitionParseError) as exc:
             raise InvalidWarmStartError(f"cannot read warm start: {exc}")
     if args.engine == "brute":
         result = brute_force(g, args.k, args.eps)

@@ -41,6 +41,10 @@ class CircuitParseError(ParseError):
     pass
 
 
+class PartitionParseError(ParseError):
+    pass
+
+
 class PartitionArityMismatchError(DagPartError):
     pass
 

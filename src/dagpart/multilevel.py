@@ -3,19 +3,22 @@ projection, and per-level refinement.
 
 Coarsening contracts one edge (u, v) at a time, and only when no other u->v
 path exists, so every coarse graph, and hence the quotient of every
-projected partition, stays acyclic.  It merges v into u in place, keeping
-a topological order by reordering the vertices between u and v, and builds
-a `Dag` only for each level, which spans CONTRACTIONS_PER_LEVEL
-contractions.  Each projected partition is improved by greedy boundary
-moves that keep the part numbering topological (`refine_moves`), then
-polished by a short, warm-started branch and bound; the polish of the input
-graph, whose partition is returned, gets FINEST_POLISH_FACTOR times the
-budget.
+projected partition, stays acyclic.  It pops the heaviest candidate from a
+lazy heap and drops a rejected one for good, since a rejected edge stays
+rejected until a merge re-costs it, which pushes it again.  It merges v
+into u in place, keeping a topological order by reordering the vertices
+between u and v, and builds a `Dag` only for each level, which spans
+CONTRACTIONS_PER_LEVEL contractions.  Each projected partition is improved
+by greedy boundary moves that keep the part numbering topological
+(`refine_moves`), then polished by a short, warm-started branch and bound;
+the polish of the input graph, whose partition is returned, gets
+FINEST_POLISH_FACTOR times the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .dag import Dag
 from .errors import BudgetExhaustedError, InfeasibleInstanceError, InvalidProjectionError
@@ -78,22 +81,34 @@ def coarsen(g: Dag, target_n: int,
     partitionable under the balance bound.  Stops at target_n vertices or
     when no such edge remains.
 
+    The candidates sit in a min-heap of (-cost, u, v) entries.  A step pops
+    entries until one is still live (u->v still costs what the entry says)
+    and passes both tests; a popped entry that fails is dropped for good.
+    That is exact: weights only grow, so a vertex over the cap stays over
+    it, and another u->v path survives every merge unless its interior
+    joins u or v, which adds its edge cost to (u, v).  Every merge pushes
+    an entry for each edge it creates or re-costs, a re-cost by 0 included,
+    so such an edge is tested again.
+
     Contraction works in place: a cluster keeps the id of the endpoint u it
-    was merged into, along with its weight, its successor costs and its
-    place in a topological order.  Sorting the clusters by id numbers them
-    as a rebuilt graph would, since merging v into u keeps the relative
-    order of the other ids.  A `Dag` is built only when a level is
-    recorded: after every CONTRACTIONS_PER_LEVEL steps, and once more for a
-    shorter tail.  A level's mapping sends each vertex of the level above
-    to its cluster.
+    was merged into, along with its weight, its successor costs, its
+    predecessors and its place in a topological order, so a merge visits
+    only v's neighbours.  Sorting the clusters by id numbers them as a
+    rebuilt graph would, since merging v into u keeps the relative order of
+    the other ids.  A `Dag` is built only when a level is recorded: after
+    every CONTRACTIONS_PER_LEVEL steps, and once more for a shorter tail.
+    A level's mapping sends each vertex of the level above to its cluster.
     """
     _check_target_n(target_n)
     weight = list(g.w)
     succ = [{b: g.cost[(a, b)] for b in g.succ[a]} for a in range(g.n)]
+    pred = [set(g.pred[b]) for b in range(g.n)]
     order = list(g.topo.order)
     position = list(g.topo.position)
     above = list(range(g.n))  # cluster of each vertex of the level above
     levels: list[CoarseningLevel] = []
+    heap = [(-cost, a, b) for a, b, cost in g.edges]
+    heapify(heap)
 
     def record() -> None:
         ids = sorted(order)
@@ -105,20 +120,30 @@ def coarsen(g: Dag, target_n: int,
         above[:] = ids
 
     while len(order) > target_n:
-        for _, u, v in sorted((-cost, a, b) for a in order for b, cost in succ[a].items()):
-            if ((max_weight is None or weight[u] + weight[v] <= max_weight)
+        while heap:
+            key, u, v = heappop(heap)
+            if (succ[u].get(v) == -key
+                    and (max_weight is None or weight[u] + weight[v] <= max_weight)
                     and (reached := _contraction_safe(succ, position, u, v)) is not None):
                 break
         else:
             break
         # merge v into u: u takes v's weight and its in- and out-edges
         weight[u] += weight[v]
-        for a in order:
-            cost = succ[a].pop(v, None)
-            if cost is not None and a != u:
-                succ[a][u] = succ[a].get(u, 0) + cost
+        del succ[u][v]
+        pred[v].discard(u)
+        for a in pred[v]:
+            cost = succ[a].get(u, 0) + succ[a].pop(v)
+            succ[a][u] = cost
+            pred[u].add(a)
+            heappush(heap, (-cost, a, u))
         for b, cost in succ[v].items():
-            succ[u][b] = succ[u].get(b, 0) + cost
+            cost += succ[u].get(b, 0)
+            succ[u][b] = cost
+            pred[b].discard(v)
+            pred[b].add(u)
+            heappush(heap, (-cost, u, b))
+        succ[v] = {}  # so v's entries read as stale
         # Between u and v, the vertices u does not reach come first, then
         # the merged u, then the ones it reaches.  Nothing u reaches leads
         # back to the others or to v, so the order stays topological.

@@ -7,7 +7,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dag import Dag, part_order, quotient_graph
-from .errors import InvalidKError
+from .errors import InvalidKError, PartitionParseError
+from .fileio import decimal_reader
 
 
 def to_fraction(eps) -> Fraction:
@@ -116,13 +117,18 @@ def partition_to_text(p: Partition) -> str:
 
 
 def partition_from_text(text: str, k: int | None = None) -> Partition:
-    """Parse the partition file format: one part id per line, '%' comments."""
+    """Parse the partition file format: one part id per line, as an ASCII
+    decimal, and '%' comments."""
+    number = decimal_reader(text)
     values: list[int] = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        values.append(int(line))
+        try:
+            values.append(number(line))
+        except ValueError:
+            raise PartitionParseError(f"expected a part id, got {raw!r}", line_no)
     if k is None:
         k = max(values) + 1 if values else 1
     return Partition(tuple(values), k)

@@ -134,6 +134,15 @@ def test_partition_invalid_warm_exit_2(capsys, graph_file, tmp_path):
     assert "warm" in err
 
 
+def test_partition_unparsable_warm_exit_2(capsys, graph_file, tmp_path):
+    warm = tmp_path / "warm.part"
+    warm.write_text("0\n0\nx\n1\n")
+    code, payload, err = run(capsys, "partition", "--graph", graph_file,
+                             "--k", "2", "--warm", str(warm))
+    assert code == 2 and payload is None
+    assert "cannot read warm start: line 3: expected a part id, got 'x'" in err
+
+
 def test_emit_lp_deterministic(capsys, graph_file, tmp_path):
     paths = []
     for i in range(3):

@@ -51,6 +51,19 @@ def test_parse_errors_carry_line_numbers():
         read_dag_text("p adag 2 1\nv 1\nv one\ne 0 1 1\n")
 
 
+def test_digit_grouping_and_non_ascii_digits_rejected():
+    # int() takes both; the format allows ASCII decimals only
+    with pytest.raises(GraphParseError) as exc:
+        read_dag_text("p adag 2 1\nv 1\nv 1\ne 0 1 1_0\n")
+    assert exc.value.line_no == 4
+    with pytest.raises(GraphParseError) as exc:
+        read_dag_text("p adag 2 1\nv 1\nv \u0663\ne 0 1 1\n")
+    assert exc.value.line_no == 3
+    # in a comment, either character is fine
+    g = read_dag_text("% w_1 \u00e9\np adag 2 1\nv 1\nv 2\ne 0 1 10\n")
+    assert g.w == (1, 2) and g.cost[(0, 1)] == 10
+
+
 def test_count_mismatches():
     with pytest.raises(GraphParseError):
         read_dag_text("p adag 3 0\nv 1\nv 1\n")

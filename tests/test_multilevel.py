@@ -35,9 +35,21 @@ from dagpart.multilevel import (
 from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
 
 
+def _zero_heavy_dag(rng, n):
+    """A random DAG on shuffled ids whose costs and weights start at 0, so
+    that merges re-cost edges by 0 and merge vertices of weight 0."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[i], ids[j], rng.randint(0, 2))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+    return Dag([rng.randint(0, 2) for _ in range(n)], edges)
+
+
 def _coarsen_cases():
     """(graph, target_n, cap): the two hand-made graphs, then 30 seeded random
-    and layered DAGs, each without and with a weight cap."""
+    and layered DAGs, each without and with a weight cap, then 20 DAGs with
+    zero costs and weights, each without a cap and with the smallest cap
+    that allows a merge."""
     g2 = Dag([1, 1, 1], [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     yield diamond(), 2, None
     yield g2, 2, None
@@ -48,6 +60,12 @@ def _coarsen_cases():
         target = rng.randint(2, 8)
         yield g, target, None
         yield g, target, balance_bound(g, rng.randint(2, 4), Fraction(1, 10))
+    rng = random.Random(6262)
+    for _ in range(20):
+        g = _zero_heavy_dag(rng, rng.randint(6, 40))
+        target = rng.randint(2, 6)
+        yield g, target, None
+        yield g, target, min((g.w[u] + g.w[v] for u, v, _ in g.edges), default=0)
 
 
 def _contract(g, u, v):
@@ -114,6 +132,25 @@ def test_coarsen_contracts_first_acyclic_edge_under_cap():
             current = level.graph
         # coarsening stopped: at the target, or no candidate left
         assert current.n <= target or _first_contraction(current, cap) is None
+
+
+def test_coarsen_tests_each_candidate_once(monkeypatch):
+    # with positive costs every merge that touches an edge changes its cost,
+    # and a rejected (u, v, cost) stays rejected, so none is tested twice
+    tested = []
+
+    def recording(succ, position, u, v):
+        tested.append((u, v, succ[u][v]))
+        return _contraction_safe(succ, position, u, v)
+
+    monkeypatch.setattr(dagpart.multilevel, "_contraction_safe", recording)
+    rejected = 0
+    for g, target, cap in _coarsen_pin_cases():
+        tested.clear()
+        levels = coarsen(g, target, max_weight=cap)
+        assert len(set(tested)) == len(tested)
+        rejected += len(tested) - (g.n - levels[-1].graph.n if levels else 0)
+    assert rejected > 0
 
 
 def test_contraction_safe_returns_what_u_reaches_before_v():

@@ -13,7 +13,7 @@ from dagpart import (
     renumber_topologically,
     validate,
 )
-from dagpart.errors import InvalidKError
+from dagpart.errors import InvalidKError, PartitionParseError
 from dagpart.partition import to_fraction
 
 from conftest import chain, diamond, fig1_graph
@@ -102,6 +102,16 @@ def test_partition_text_round_trip():
     assert again == p
     inferred = partition_from_text(text)
     assert inferred.k == 3
+
+
+def test_partition_text_errors_carry_line_numbers():
+    with pytest.raises(PartitionParseError, match=r"^line 3: .*'x'") as exc:
+        partition_from_text("0\n% comment\nx\n")
+    assert exc.value.line_no == 3
+    # int() takes digit grouping; the format allows ASCII decimals only
+    with pytest.raises(PartitionParseError, match=r"^line 2: .*'1_0'"):
+        partition_from_text("0\n1_0\n")
+    assert partition_from_text("% part_1\n0\n1\n") == Partition((0, 1), 2)
 
 
 def test_renumber_topologically():
