@@ -11,22 +11,15 @@ from .dag import Dag
 from .errors import GraphParseError
 
 
-def _ascii_decimal(token: str) -> int:
+def ascii_decimal(token: str) -> int:
+    """`int`, minus what it accepts but the file formats do not: non-ASCII
+    digits and '_' digit grouping."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"not an ASCII decimal: {token!r}")
     return int(token)
 
 
-def decimal_reader(text: str):
-    """`int`, unless text holds a character that `int` accepts in a number
-    but the file formats do not (a non-ASCII digit or '_' grouping); then a
-    parser that rejects such tokens.  Comments may hold either character,
-    so only a text that does pays for the token check."""
-    return int if text.isascii() and "_" not in text else _ascii_decimal
-
-
 def read_dag_text(text: str) -> Dag:
-    number = decimal_reader(text)
     header = None
     weights: list[int] = []
     edges: list[tuple[int, int, int]] = []
@@ -40,16 +33,17 @@ def read_dag_text(text: str) -> Dag:
                 raise GraphParseError(f"expected header 'p adag <n> <m>', got {raw!r}",
                                       line_no)
             try:
-                header = (number(tokens[2]), number(tokens[3]))
+                header = (ascii_decimal(tokens[2]), ascii_decimal(tokens[3]))
             except ValueError:
                 raise GraphParseError(f"non-numeric header counts in {raw!r}", line_no)
             continue
         kind = tokens[0]
         try:
             if kind == "v" and len(tokens) == 2:
-                weights.append(number(tokens[1]))
+                weights.append(ascii_decimal(tokens[1]))
             elif kind == "e" and len(tokens) == 4:
-                edges.append((number(tokens[1]), number(tokens[2]), number(tokens[3])))
+                edges.append((ascii_decimal(tokens[1]), ascii_decimal(tokens[2]),
+                              ascii_decimal(tokens[3])))
             else:
                 raise GraphParseError(f"unrecognized line {raw!r}", line_no)
         except ValueError:

@@ -92,11 +92,13 @@ def coarsen(g: Dag, target_n: int,
 
     Contraction works in place: a cluster keeps the id of the endpoint u it
     was merged into, along with its weight, its successor costs, its
-    predecessors and its place in a topological order, so a merge visits
-    only v's neighbours.  Sorting the clusters by id numbers them as a
-    rebuilt graph would, since merging v into u keeps the relative order of
-    the other ids.  A `Dag` is built only when a level is recorded: after
-    every CONTRACTIONS_PER_LEVEL steps, and once more for a shorter tail.
+    predecessors and its place in a topological order.  Moving v's edges
+    to u visits only v's neighbours, but a merge still costs O(n), since it
+    rewrites the positions after u and the level-above mapping.  Sorting
+    the clusters by id numbers them as a rebuilt graph would, since merging
+    v into u keeps the relative order of the other ids.  A `Dag` is built
+    only when a level is recorded: after every CONTRACTIONS_PER_LEVEL
+    steps, and once more for a shorter tail.
     A level's mapping sends each vertex of the level above to its cluster.
     """
     _check_target_n(target_n)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .dag import Dag, part_order, quotient_graph
 from .errors import InvalidKError, PartitionParseError
-from .fileio import decimal_reader
+from .fileio import ascii_decimal
 
 
 def to_fraction(eps) -> Fraction:
@@ -119,14 +119,13 @@ def partition_to_text(p: Partition) -> str:
 def partition_from_text(text: str, k: int | None = None) -> Partition:
     """Parse the partition file format: one part id per line, as an ASCII
     decimal, and '%' comments."""
-    number = decimal_reader(text)
     values: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         try:
-            values.append(number(line))
+            values.append(ascii_decimal(line))
         except ValueError:
             raise PartitionParseError(f"expected a part id, got {raw!r}", line_no)
     if k is None:
