@@ -291,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_ke(p_ml)
     p_ml.add_argument("--target-n", type=int, default=8)
     p_ml.add_argument("--budget-nodes", type=int, default=DEFAULT_REFINE_BUDGET,
-                      help="node cap of the initial search and of each "
-                           "branch-and-bound polish; the final polish, on the "
-                           f"input graph, gets {FINEST_POLISH_FACTOR}x "
-                           "(default %(default)s)")
+                      help="node cap of the initial search; the one "
+                           "branch-and-bound polish, of the input graph, "
+                           f"gets {FINEST_POLISH_FACTOR}x (default %(default)s)")
     p_ml.add_argument("--out")
     p_ml.set_defaults(func=cmd_multilevel)
 

@@ -8,17 +8,18 @@ lazy heap and drops a rejected one for good, since a rejected edge stays
 rejected until a merge re-costs it, which pushes it again.  It merges v
 into u in place, keeping a topological order by reordering the vertices
 between u and v, and builds a `Dag` only for each level, which spans
-CONTRACTIONS_PER_LEVEL contractions.  Each projected partition is improved
-by greedy boundary moves that keep the part numbering topological
-(`refine_moves`), then polished by a short, warm-started branch and bound;
-the polish of the input graph, whose partition is returned, gets
-FINEST_POLISH_FACTOR times the budget.
+CONTRACTIONS_PER_LEVEL contractions.  Each projected partition is refined
+by Fiduccia-Mattheyses passes that keep the part numbering topological
+(`refine_moves`).  Only the input graph, whose partition is returned, is
+then polished by a warm-started branch and bound of FINEST_POLISH_FACTOR
+times the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .dag import Dag
 from .errors import BudgetExhaustedError, InfeasibleInstanceError, InvalidProjectionError
@@ -26,10 +27,10 @@ from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
 
 DEFAULT_REFINE_BUDGET = 1_000
-# One-edge contractions make graphs that differ by one vertex, whose
-# polishes search almost the same tree, so a level spans four of them.
-# Refining fewer graphs alone raised the cut; a larger polish of the input
-# graph, whose partition is returned, wins it back.
+# One-edge contractions make graphs that differ by one vertex, so a level
+# spans four of them and only every fourth graph is built and refined.  The
+# one branch-and-bound polish, of the input graph, gets FINEST_POLISH_FACTOR
+# times the initial solve's node budget; the cut rose without it.
 CONTRACTIONS_PER_LEVEL = 4
 FINEST_POLISH_FACTOR = 10
 
@@ -196,71 +197,116 @@ def initial_partition(coarsest: Dag, k: int, eps=0,
 
 
 def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
-    """Greedy boundary moves that keep part(u) <= part(v) on every edge.
+    """Fiduccia-Mattheyses passes that keep part(u) <= part(v) on every edge.
 
-    Passes over the topological order repeat until no vertex moves.  Vertex
-    v may go to any part q between lo, the largest part among its
+    Vertex v may go to any part q between lo, the largest part among its
     predecessors, and hi, the smallest among its successors, so the part
-    numbering stays topological and the quotient graph acyclic.  It moves to
-    the q with the largest strictly positive gain in cost to its neighbours
-    that has room under bound, the lowest q on ties.  Every move lowers the
-    cut, so the loop ends.  Raises ValueError unless p's numbering is
-    topological to begin with.
+    numbering stays topological and the quotient graph acyclic.  Its best
+    move is to the q != part(v) in that window with room under bound and
+    the largest gain in cost to its neighbours, which may be negative; the
+    lowest q on ties.
+
+    A pass pops moves from a heap of (-gain, v, q, stamp) entries; scoring
+    v again bumps its stamp, so older entries are dropped.  A current entry
+    is scored again before it is applied, since other moves change the
+    loads, and when v's best move has changed, that move is pushed in its
+    place.  A moved vertex is locked for the rest of the pass, and only its
+    unlocked neighbours are scored again.  The pass then rolls back to its
+    best prefix of moves, the earliest on ties.  Passes repeat until one
+    gains nothing, so every pass but the last lowers the cut.  Raises
+    ValueError unless p's numbering is topological to begin with.
     """
     part = list(p.assignment)
-    for u, v, _ in g.edges:
+    preds = [[] for _ in range(g.n)]
+    succs = [[] for _ in range(g.n)]
+    for u, v, c in g.edges:
         if part[u] > part[v]:
             raise ValueError(f"edge ({u},{v}) runs from part {part[u]} back to "
                              f"part {part[v]}: the part numbering is not topological")
+        succs[u].append((v, c))
+        preds[v].append((u, c))
+    weight = g.w
     loads = [0] * k
     for v, s in enumerate(part):
-        loads[s] += g.w[v]
-    cost = g.cost
-    plan = [(v, g.w[v], tuple((u, cost[(u, v)]) for u in g.pred[v]),
-             tuple((u, cost[(v, u)]) for u in g.succ[v]))
-            for v in g.topo.order]
+        loads[s] += weight[v]
     top = k - 1
-    moved = True
-    while moved:
-        moved = False
-        for v, weight, preds, succs in plan:
-            lo, hi = 0, top
-            conn = [0] * k
-            for u, c in preds:
-                s = part[u]
-                conn[s] += c
-                if s > lo:
-                    lo = s
-            for u, c in succs:
-                s = part[u]
-                conn[s] += c
-                if s < hi:
-                    hi = s
-            if lo == hi:
+
+    def best_move(v: int) -> tuple[int, int] | None:
+        """(gain, q) of v's best move, or None when no part in its window
+        has room."""
+        lo, hi = 0, top
+        conn = [0] * k
+        for u, c in preds[v]:
+            s = part[u]
+            conn[s] += c
+            if s > lo:
+                lo = s
+        for u, c in succs[v]:
+            s = part[u]
+            conn[s] += c
+            if s < hi:
+                hi = s
+        here, room = part[v], bound - weight[v]
+        best = None
+        for q in range(lo, hi + 1):
+            if q != here and loads[q] <= room:
+                gain = conn[q] - conn[here]
+                if best is None or gain > best[0]:
+                    best = (gain, q)
+        return best
+
+    while True:
+        stamp = [0] * g.n
+        locked = [False] * g.n
+        heap = []
+        for v in range(g.n):
+            if (move := best_move(v)) is not None:
+                heap.append((-move[0], v, move[1], 0))
+        heapify(heap)
+        moves = []  # (vertex, part it left), in the order applied
+        total = best_total = best_len = 0
+        while heap:
+            key, v, q, mark = heappop(heap)
+            if locked[v] or mark != stamp[v]:
+                continue
+            move = best_move(v)
+            if move != (-key, q):
+                if move is not None:
+                    heappush(heap, (-move[0], v, move[1], mark))
                 continue
             here = part[v]
-            best, best_gain = here, 0
-            for q in range(lo, hi + 1):
-                gain = conn[q] - conn[here]
-                if gain > best_gain and loads[q] + weight <= bound:
-                    best, best_gain = q, gain
-            if best != here:
-                part[v] = best
-                loads[here] -= weight
-                loads[best] += weight
-                moved = True
-    return Partition(tuple(part), k)
+            part[v] = q
+            loads[here] -= weight[v]
+            loads[q] += weight[v]
+            locked[v] = True
+            moves.append((v, here))
+            total -= key
+            if total > best_total:
+                best_total, best_len = total, len(moves)
+            for u, _ in chain(preds[v], succs[v]):
+                if not locked[u]:
+                    stamp[u] += 1
+                    if (move := best_move(u)) is not None:
+                        heappush(heap, (-move[0], u, move[1], stamp[u]))
+        for v, here in reversed(moves[best_len:]):
+            loads[part[v]] -= weight[v]
+            loads[here] += weight[v]
+            part[v] = here
+        if not best_len:
+            return Partition(tuple(part), k)
 
 
 def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
                      coarse_partition: Partition, k: int, eps=0,
                      budget_nodes: int = DEFAULT_REFINE_BUDGET) -> Partition:
-    """Project level by level; refine each finer graph by `refine_moves`,
-    then polish it by branch and bound warm-started from the moved partition.
+    """Project level by level and refine each finer graph by `refine_moves`,
+    then polish the input graph g, whose partition is returned, by branch
+    and bound warm-started from the moved partition.
 
-    Each polish is capped at budget_nodes nodes, except the one of the input
-    graph g, whose partition is returned: it gets FINEST_POLISH_FACTOR times
-    that, and it runs even when levels is empty.
+    Only that one polish runs, capped at FINEST_POLISH_FACTOR times
+    budget_nodes nodes, and it runs even when levels is empty.  Polishing
+    every level as well made most of the search calls and lowered the cut
+    in few of them; dropping the final polish too left the cut higher.
 
     coarse_partition must number its parts topologically, as
     `branch_and_bound` does; projection keeps that numbering.
@@ -272,9 +318,6 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
         finer = graphs[idx]
         current = project(current, levels[idx].mapping, finer.n)
         current = refine_moves(finer, current, k, bound)
-        if idx:
-            current = branch_and_bound(finer, k, eps, warm=current,
-                                       budget=SolveBudget(max_nodes=budget_nodes)).partition
     # a warm-started search always returns a partition, at worst the warm one
     return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
         max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition

@@ -289,8 +289,8 @@ def test_multilevel_rejects_negative_budget_before_coarsening(monkeypatch):
 
 
 def test_uncoarsen_refine_polish_schedule(monkeypatch):
-    # moves, then a warm-started polish, on every level; the input graph
-    # (idx 0), whose partition is returned, gets 10x the budget
+    # moves on every level, coarse to fine, then one warm-started polish, of
+    # the input graph (idx 0), whose partition is returned, with 10x the budget
     coarsened, moved, polished = [], [], []
 
     def coarsen_spy(*args, **kwargs):
@@ -317,10 +317,8 @@ def test_uncoarsen_refine_polish_schedule(monkeypatch):
     assert info["levels"] == len(levels) >= 3
     graphs = [g] + [level.graph for level in levels]
     idx_of = {id(h): idx for idx, h in enumerate(graphs)}
-    order = list(range(len(levels) - 1, -1, -1))
-    assert [idx_of[id(h)] for h in moved] == order
-    assert [(idx_of[id(h)], nodes) for h, nodes in polished] == [
-        (idx, 2000 if idx == 0 else 200) for idx in order]
+    assert [idx_of[id(h)] for h in moved] == list(range(len(levels) - 1, -1, -1))
+    assert [(idx_of[id(h)], nodes) for h, nodes in polished] == [(0, 2000)]
 
 
 def test_multilevel_polishes_input_graph_without_levels():
@@ -397,6 +395,44 @@ def test_refine_moves_takes_lowest_part_on_ties():
     assert p.assignment == (0, 0, 0, 2, 2)
 
 
+def test_refine_moves_takes_zero_gain_moves():
+    # every move from the start gains 0 or has no room: vertex 3 cannot join
+    # part 1, which is full.  Moving 0 and 1 to part 0 makes room in part 2
+    # for vertex 2, which then joins 3 and cuts nothing.  Strictly positive
+    # moves alone leave the start, cut 3, as it is.
+    g = Dag([1] * 4, [(2, 3, 3)])
+    start = Partition((1, 2, 1, 2), 3)
+    assert edge_cut(g, start) == 3
+    p = refine_moves(g, start, 3, 2)
+    assert edge_cut(g, p) == 0
+    assert validate(g, p, 3, Fraction(1, 2)).feasible
+
+
+def test_refine_moves_is_deterministic():
+    for g, k, eps, start in _refine_cases():
+        bound = balance_bound(g, k, eps)
+        assert refine_moves(g, start, k, bound) == refine_moves(g, start, k, bound)
+
+
+def test_projection_keeps_the_cut():
+    # a coarse edge's cost sums the fine edges it stands for, and a
+    # contracted edge lies inside one cluster, so pulling any partition of a
+    # coarse graph back through a level's mapping cuts the same cost
+    rng = random.Random(3131)
+    for idx in range(40):
+        n = rng.randint(10, 80)
+        g = random_dag(rng, n, p=3 / n) if idx % 2 else layered_dag(rng, n)
+        levels = coarsen(g, rng.randint(2, 8))
+        assert levels
+        graphs = [g] + [level.graph for level in levels]
+        k = rng.randint(2, 4)
+        p = Partition(tuple(rng.randrange(k) for _ in range(graphs[-1].n)), k)
+        cut = edge_cut(graphs[-1], p)
+        for pos in range(len(levels) - 1, -1, -1):
+            p = project(p, levels[pos].mapping, graphs[pos].n)
+            assert edge_cut(graphs[pos], p) == cut
+
+
 # --- pinned coarsening levels ----------------------------------------------
 # sha256 over every level's (graph.w, graph.edges, mapping) that `coarsen`
 # returns on seeded random and id-shuffled layered DAGs, each without and
@@ -442,7 +478,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "ad39039d9b376ad82cbea3c0860029a060f7f3b039c70cc3899cf6c32c1393ab"
+MULTILEVEL_PIN_SHA256 = "fcec7774d8d3e01812b6a6c85222d276d099138e7f23894174fe132434765d58"
 
 
 def test_multilevel_outputs_pinned():
