@@ -170,23 +170,16 @@ class Dag:
         return self.descendant_masks[u] & self.ancestor_masks[v]
 
     @cached_property
-    def _weight_tables(self) -> tuple[tuple[int, ...], ...]:
-        # one 256-entry table per byte of a mask: weight sum of that byte's
-        # vertices, so a mask's weight is one lookup per byte
-        tables = []
-        for base in range(0, self.n, 8):
-            chunk = self.w[base:base + 8] + (0,) * 8
-            table = [0] * 256
-            for byte in range(1, 256):
-                low = byte & -byte
-                table[byte] = table[byte ^ low] + chunk[low.bit_length() - 1]
-            tables.append(tuple(table))
-        return tuple(tables)
+    def _weight_planes(self) -> tuple[int, ...]:
+        # bit plane b is the bitset of vertices whose weight has bit b set,
+        # so a mask's weight is one popcount per bit of the largest weight
+        return tuple(sum(1 << v for v, wv in enumerate(self.w) if wv >> b & 1)
+                     for b in range(max(self.w, default=0).bit_length()))
 
     def mask_weight(self, mask: int) -> int:
         """Total vertex weight of the vertices in a bitset."""
-        tables = self._weight_tables
-        return sum(t[b] for t, b in zip(tables, mask.to_bytes(len(tables), "little")))
+        return sum((mask & plane).bit_count() << b
+                   for b, plane in enumerate(self._weight_planes))
 
     def descendants(self, u: int) -> frozenset[int]:
         """All vertices reachable from u by a non-empty path (u excluded)."""

@@ -115,6 +115,13 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     the whole total when s > s_min: one pass over the predecessors per
     vertex, O(1) per child.
 
+    A vertex in part s forces all of its descendants, none of them assigned
+    yet, into parts >= s.  A child is therefore tried only when the vertex
+    and its descendants together fit in the free room of parts s..k-1; the
+    room of parts >= s_min is summed once per vertex and lowered by one
+    part's free room per child.  The check cuts only subtrees that hold no
+    feasible leaf, so it changes the node counts but not the result.
+
     Each candidate (vertex, part) counts as one node, pruned or not.  A
     child is pruned unless its cut is strictly below the incumbent, so a
     warm start is kept on ties.  The search stops with STOPPED when the node
@@ -145,12 +152,15 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         best_cut = report.cut
         best_assignment = warm.assignment
 
-    # One entry per depth: (vertex, weight, ((pred, edge cost), ...), total cost).
+    # One entry per depth: (vertex, weight, ((pred, edge cost), ...), total
+    # cost, weight of the vertex and its descendants).
     cost = g.cost
+    descendant_masks = g.descendant_masks
     plan = []
     for v in g.topo.order:
         preds = tuple((u, cost[(u, v)]) for u in g.pred[v])
-        plan.append((v, g.w[v], preds, sum(c for _, c in preds)))
+        tail = g.w[v] + g.mask_weight(descendant_masks[v])
+        plan.append((v, g.w[v], preds, sum(c for _, c in preds), tail))
     n = g.n
     part_of = [-1] * n
     part_weights = [0] * k
@@ -167,7 +177,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                 best_cut = cut
                 best_assignment = tuple(part_of)
             return nodes
-        v, weight, preds, total = plan[depth]
+        v, weight, preds, total, tail = plan[depth]
         s_min = same = 0
         for u, c in preds:
             s = part_of[u]
@@ -177,11 +187,14 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                 same += c
         cut_above = cut + total  # the child's cut for every s > s_min
         child_cut = cut_above - same
+        # free room in parts >= s, for each s tried below
+        room = (k - s_min) * bound - sum(part_weights[s_min:])
         for s in range(s_min, k):
             nodes += 1
             if nodes > limit or (nodes & 255 == 0 and monotonic() > deadline):
                 raise _Stopped(nodes)
-            if (part_weights[s] + weight <= bound and child_cut < best_cut
+            if (part_weights[s] + weight <= bound and tail <= room
+                    and child_cut < best_cut
                     and (part_masks is None
                          or (part_masks[s] | nq[v]).bit_count() <= lm)):
                 if part_masks is not None:
@@ -194,6 +207,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                 if part_masks is not None:
                     part_masks[s] = old_mask
             child_cut = cut_above
+            room -= bound - part_weights[s]
         return nodes
 
     try:

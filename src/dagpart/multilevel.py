@@ -22,7 +22,12 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .dag import Dag
-from .errors import BudgetExhaustedError, InfeasibleInstanceError, InvalidProjectionError
+from .errors import (
+    BudgetExhaustedError,
+    InfeasibleInstanceError,
+    InvalidProjectionError,
+    TooLargeError,
+)
 from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
 
@@ -307,6 +312,9 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
     budget_nodes nodes, and it runs even when levels is empty.  Polishing
     every level as well made most of the search calls and lowered the cut
     in few of them; dropping the final polish too left the cut higher.
+    The search recurses once per vertex, so when g has too many vertices
+    for the recursion limit the polish is skipped and the moved partition
+    is returned.
 
     coarse_partition must number its parts topologically, as
     `branch_and_bound` does; projection keeps that numbering.
@@ -319,8 +327,11 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
         current = project(current, levels[idx].mapping, finer.n)
         current = refine_moves(finer, current, k, bound)
     # a warm-started search always returns a partition, at worst the warm one
-    return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
-        max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
+    try:
+        return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
+            max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
+    except TooLargeError:
+        return current
 
 
 def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,32 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_example():
+    """The graph file and the (argv, JSON output) pairs of README's Example."""
+    section = README.read_text().split("\n## Example\n", 1)[1]
+    graph, session = section.split("```")[1:4:2]
+    runs = []
+    for chunk in session.split("$ dagpart ")[1:]:
+        command, _, output = chunk.partition("\n")
+        runs.append((command.split(), json.loads(output)))
+    return graph.lstrip("\n"), runs
+
+
+def test_readme_example_matches_cli(capsys, tmp_path, monkeypatch):
+    graph, runs = _readme_example()
+    assert graph == DIAMOND
+    assert [argv[0] for argv, _ in runs] == ["partition", "compare"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "examples-diamond.dag").write_text(graph)
+    for argv, expected in runs:
+        code, payload, _ = run(capsys, *argv)
+        assert code == 0
+        assert payload == expected
 
 
 def test_check_ok(capsys, graph_file):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dagpart import Dag, Partition, quotient_graph
+from dagpart.dag import mask_vertices
 from dagpart.errors import (
     CycleDetectedError,
     DuplicateEdgeError,
@@ -141,3 +142,15 @@ def test_reachability_rejects_bad_vertex():
                   lambda: g.path_nodes(0, 5)):
         with pytest.raises(ValueError):
             query()
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 300])
+@pytest.mark.parametrize("max_w", [0, 1, 5, 2 ** 20])
+def test_mask_weight_matches_plain_sum(n, max_w):
+    # max_w 0 gives all-zero weights, so the weight has no bit planes at all
+    rng = random.Random(n * 31 + max_w)
+    g = Dag([rng.randint(0, max_w) for _ in range(n)], [])
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(50)]
+    for mask in masks:
+        assert g.mask_weight(mask) == sum(g.w[v] for v in mask_vertices(mask))

@@ -78,6 +78,36 @@ def test_bnb_matches_brute_on_random(rng):
             assert validate(g, b.partition, k, eps).feasible
 
 
+def _heavy_dags(rng):
+    """Seeded random and layered DAGs, n 6-10, with weights 1-5 so that a
+    vertex's descendants weigh much of the total; n is capped per k to keep
+    the k^n oracle fast."""
+    for idx in range(80):
+        k = 2 + idx % 3
+        n = rng.randint(6, {2: 10, 3: 9, 4: 8}[k])
+        if idx % 2:
+            g = random_dag(rng, n, p=rng.choice([0.2, 0.4, 0.6]), max_w=5)
+        else:
+            shape = layered_dag(rng, n)
+            g = Dag([rng.randint(1, 5) for _ in range(n)], shape.edges)
+        yield g, k
+
+
+def test_bnb_descendant_room_prune_matches_brute():
+    rng = random.Random(4242)
+    statuses = []
+    for g, k in _heavy_dags(rng):
+        for eps in (0, Fraction(1, 10)):
+            a = brute_force(g, k, eps)
+            b = branch_and_bound(g, k, eps)
+            assert (b.status, b.cut) == (a.status, a.cut)
+            if b.status == OPTIMAL:
+                assert validate(g, b.partition, k, eps).cut == b.cut
+            statuses.append(b.status)
+    # the oracle must see both proofs of infeasibility and optima
+    assert statuses.count(INFEASIBLE) >= 10 and statuses.count(OPTIMAL) >= 10
+
+
 def test_bnb_warm_start_used():
     g = chain(6)
     warm = Partition((0, 0, 0, 1, 1, 1), 2)
@@ -199,21 +229,44 @@ def _pin_cases(group: str):
 
 
 BNB_PIN_SHA256 = {
-    "plain": "d5795be6ffa66a89e00321bdbc0433864abd80158549710894067f2796e328b6",
-    "warm": "a05d9c2a5f60a67c74b9c22e108efbf91981796e5e0c97f2308206dc4e04516e",
-    "budget": "9a21e2f36667b974929daf150137b19c80cf863b85d22d073ffd7ff3d489d902",
-    "qubits": "35f7cb01479f613724b888f4a9d13fea6aa39cf3d173dfd71699793a4f19e63d",
+    "plain": "acf7b1afb3719784e7ac12a5355eda0f89b3644605fe7f563465d8690457082c",
+    "warm": "8d2e7f5dd7fad1a74d71436587de40f4fbc0a751e8ba281006098d67851e3a2a",
+    "budget": "270d22ac24b592eeda64de4b80b327a6c4df0de5676caa8ccb6aa97576fe5e55",
+    "qubits": "14c5884033fd755d7fb0224492de426f9f9c1be5810d5def7b10d1f0e5a38739",
 }
 
 
-@pytest.mark.parametrize("group", sorted(BNB_PIN_SHA256))
-def test_bnb_outputs_pinned(group):
+def _pin_digest(group: str, with_nodes: bool) -> tuple[str, int]:
+    """sha256 over every solve's (status, cut, assignment[, nodes]), and the
+    number of solves."""
     digest = hashlib.sha256()
     count = 0
     for g, k, eps, kwargs in _pin_cases(group):
         r = branch_and_bound(g, k, eps, **kwargs)
         assignment = r.partition.assignment if r.partition is not None else None
-        digest.update(repr((r.status, r.cut, assignment, r.nodes_explored)).encode())
+        row = (r.status, r.cut, assignment)
+        digest.update(repr(row + (r.nodes_explored,) if with_nodes else row).encode())
         count += 1
+    return digest.hexdigest(), count
+
+
+@pytest.mark.parametrize("group", sorted(BNB_PIN_SHA256))
+def test_bnb_outputs_pinned(group):
+    digest, count = _pin_digest(group, with_nodes=True)
     assert count > 0
-    assert digest.hexdigest() == BNB_PIN_SHA256[group]
+    assert digest == BNB_PIN_SHA256[group]
+
+
+# sha256 over (status, cut, assignment) alone: the descendant-room prune cut
+# node counts, but an unbudgeted search must return what it did before it.
+BNB_UNBUDGETED_SHA256 = {
+    "plain": "4802bec220af735fdd08574a68229b4202886c1c4da43acd40a64fc08e41edd6",
+    "warm": "c9c9355f8ef3538cfaa2df0dd4135994a6652ffb01e6dbb779de852dbaa69e8f",
+}
+
+
+@pytest.mark.parametrize("group", sorted(BNB_UNBUDGETED_SHA256))
+def test_bnb_unbudgeted_outputs_unchanged(group):
+    digest, count = _pin_digest(group, with_nodes=False)
+    assert count == {"plain": 60, "warm": 34}[group]
+    assert digest == BNB_UNBUDGETED_SHA256[group]

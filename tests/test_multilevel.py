@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from dagpart.multilevel import (
     CONTRACTIONS_PER_LEVEL,
     _contraction_safe,
     initial_partition,
+    uncoarsen_refine,
 )
 
 from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
@@ -334,6 +336,17 @@ def test_multilevel_polishes_input_graph_without_levels():
     assert validate(g, p, 4, eps).cut == brute_force(g, 4, eps).cut == 9
 
 
+def test_polish_past_recursion_limit_returns_moved_partition():
+    # the polish recurses once per vertex; past the recursion limit it is
+    # skipped and the partition in hand is returned instead of TooLargeError
+    half = sys.getrecursionlimit()
+    g = chain(2 * half)
+    start = Partition((0,) * half + (1,) * half, 2)
+    p = uncoarsen_refine(g, [], start, 2)
+    assert p == start
+    assert validate(g, p, 2, 0).cut == 1
+
+
 def test_multilevel_falls_back_on_budget_stop():
     g = Dag([1, 3, 1, 3, 1, 3], [(0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)])
     p, info = multilevel_partition(g, 3, target_n=3, budget_nodes=12)
@@ -478,7 +491,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "fcec7774d8d3e01812b6a6c85222d276d099138e7f23894174fe132434765d58"
+MULTILEVEL_PIN_SHA256 = "9c8598ee59467038269b1b401d71f4d630d2c8d597b3ceac65d7e4d68febe1ae"
 
 
 def test_multilevel_outputs_pinned():
