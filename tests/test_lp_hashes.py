@@ -1,6 +1,7 @@
 """Byte-identity guard for `write_lp`: the sha256 of every formulation's LP
-text on two fixed DAGs with dense reachability, and of both quantum
-strategies on one fixed circuit.
+text on two fixed DAGs with dense reachability, of every formulation with
+continuous z on one of them, and of both quantum strategies on one fixed
+circuit.
 
 Any change to coefficient arithmetic, reachability or constraint generation
 that alters a single byte of the emitted LP shows up here.  A hash may only
@@ -68,6 +69,28 @@ def test_write_lp_sha256(graph, formulation):
     text = write_lp(build_formulation(formulation, g,
                                       BuildOptions(k=3, eps=Fraction(1, 10))))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == LP_SHA256[(graph, formulation)]
+
+
+# With relax_z every z is continuous in [0, 1], so the Bounds section lists
+# continuous variables beside the integer ones.
+RELAX_Z_LP_SHA256 = {
+    "undirected": "f1afc0637a237d92cf06db1545a611fdeef14cebb1667fe972db58b2f6de784d",
+    "nossack": "eddc7dd218f13a099e9c2f861002d44f39da188f18c5f6c8ec6e055e5da5ccb2",
+    "albareda-base": "0ec11303717049b0fb0e9ab83ea32943b840cb2b7b0fb9910cbf70473c878d5f",
+    "albareda-extended": "ffb7909c5d480cc7743b753f68adb7f75e696c6fc72ae04d6797320d12f06de5",
+    "albareda-final": "fa306555bddedfc6bc1c6412a660ad5d1a89d93f9060c307bc4bac1a6006676e",
+    "proposed": "d6581b2b714cb6834ac334a8414465a5e1468fdf3672babee215d0f62fe4d78a",
+}
+
+
+@pytest.mark.parametrize("formulation", FORMULATION_NAMES)
+def test_relax_z_write_lp_sha256(formulation):
+    g = GRAPHS["random"]()
+    text = write_lp(build_formulation(formulation, g,
+                                      BuildOptions(k=3, eps=Fraction(1, 10),
+                                                   relax_z=True)))
+    assert "\nBounds\n" in text
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == RELAX_Z_LP_SHA256[formulation]
 
 
 # Five qubits, gates of arity 1-3 and repeated qubit pairs, so qubit columns,
