@@ -298,14 +298,17 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
     for i, j in zpairs:
         _add_z(m, i, j, opts.relax_z)
 
+    # one list of unit x terms per vertex; the prefixes below are slices of it
+    x_terms = [[(1, _x(i, t)) for t in range(k)] for i in range(g.n)]
+
     def prefix_lt(i, s):  # sum_{t < s} x_it
-        return [(1, _x(i, t)) for t in range(s)]
+        return x_terms[i][:s]
 
     def prefix_ge(i, s):  # sum_{t >= s} x_it
-        return [(1, _x(i, t)) for t in range(s, k)]
+        return x_terms[i][s:]
 
     def prefix_le(i, s):  # sum_{t <= s} x_it
-        return [(1, _x(i, t)) for t in range(s + 1)]
+        return x_terms[i][:s + 1]
 
     if variant in ("base", "extended"):
         for i, j in pairs:

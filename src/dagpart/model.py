@@ -4,9 +4,11 @@ All arithmetic is exact and involves no floats.  Bounds and coefficients
 are normalised once, when a variable, a constraint or the objective is
 added, and values once, when a solution is read or evaluated: a number
 that is integral is kept as a plain int, any other as a `Fraction` (a
-float becomes the `Fraction` of its exact binary value).  int and
-`Fraction` arithmetic mix without rounding, so `evaluate` checks
-constraints exactly after integrality rounding.
+float becomes the `Fraction` of its exact binary value).  Terms whose
+coefficients are all ints, as every builder emits them, are stored as
+given, one tuple of the caller's `(coef, name)` pairs; rows are immutable
+named tuples.  int and `Fraction` arithmetic mix without rounding, so
+`evaluate` checks constraints exactly after integrality rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NonIntegralValueError,
@@ -40,8 +43,7 @@ class Variable:
     ub: Fraction | int | None = None
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple  # ((coef, var_name), ...)
     sense: str    # "<=", ">=", "="
@@ -56,13 +58,21 @@ class EvalResult:
 
 
 def _exact(value, where: str):
-    """A finite number as an int if it is integral, else as a Fraction."""
+    """A finite number as an int if it is integral, else as a Fraction that
+    `write_lp` can print as a float."""
     if type(value) is int:
         return value
     if isinstance(value, float) and not math.isfinite(value):
         raise UnrepresentableCoefficientError(f"non-finite coefficient in {where}")
     frac = Fraction(value)
-    return frac.numerator if frac.denominator == 1 else frac
+    if frac.denominator == 1:
+        return frac.numerator
+    try:
+        float(frac)
+    except OverflowError:
+        raise UnrepresentableCoefficientError(
+            f"coefficient in {where} is too large for a float") from None
+    return frac
 
 
 class LinearModel:
@@ -106,28 +116,39 @@ class LinearModel:
     def has_var(self, name: str) -> bool:
         return name in self._index
 
+    def _checked_terms(self, terms, row: str | None) -> tuple:
+        """The terms as a tuple of `(coef, name)` pairs, in one pass that
+        checks every name.  If every pair is a tuple with an int coefficient
+        the pairs are kept as given; otherwise every coefficient is
+        normalised by `_exact`.  `row` is the constraint's name, or None for
+        the objective."""
+        terms = tuple(terms)
+        index = self._index
+        as_given = True
+        for pair in terms:
+            coef, var_name = pair
+            if var_name not in index:
+                owner = "objective" if row is None else f"constraint {row!r}"
+                raise ValueError(f"{owner} references unknown variable {var_name!r}")
+            if type(coef) is not int or type(pair) is not tuple:
+                as_given = False
+        if as_given:
+            return terms
+        where = "objective" if row is None else row
+        return tuple((_exact(coef, where), var_name) for coef, var_name in terms)
+
     def add_constraint(self, name: str, terms, sense: str, rhs) -> None:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {sense!r}")
-        checked = []
-        for coef, var_name in terms:
-            if var_name not in self._index:
-                raise ValueError(f"constraint {name!r} references unknown "
-                                 f"variable {var_name!r}")
-            checked.append((_exact(coef, name), var_name))
-        self.constraints.append(Constraint(name, tuple(checked), sense,
-                                           _exact(rhs, name)))
+        self.constraints.append(Constraint(
+            name, self._checked_terms(terms, name), sense,
+            rhs if type(rhs) is int else _exact(rhs, name)))
 
     def set_objective(self, sense: str, terms) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
             raise ValueError(f"bad objective sense {sense!r}")
-        checked = []
-        for coef, var_name in terms:
-            if var_name not in self._index:
-                raise ValueError(f"objective references unknown variable {var_name!r}")
-            checked.append((_exact(coef, "objective"), var_name))
+        self.objective_terms = self._checked_terms(terms, None)
         self.objective_sense = sense
-        self.objective_terms = tuple(checked)
 
 
 def _fmt_num(value) -> str:
@@ -257,12 +278,14 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
         if violations and early_exit:
             break
     if not (violations and early_exit):
-        for con in m.constraints:
-            lhs = sum(coef * values[name] for coef, name in con.terms)
-            ok = (lhs <= con.rhs if con.sense == "<=" else
-                  lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
+        for name, terms, sense, rhs in m.constraints:
+            lhs = 0
+            for coef, var_name in terms:
+                lhs += coef * values[var_name]
+            ok = (lhs <= rhs if sense == "<=" else
+                  lhs >= rhs if sense == ">=" else lhs == rhs)
             if not ok:
-                violations.append(f"{con.name}: {lhs} {con.sense} {con.rhs} fails")
+                violations.append(f"{name}: {lhs} {sense} {rhs} fails")
                 if early_exit:
                     break
     objective = sum(coef * values[name] for coef, name in m.objective_terms)
