@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from dagpart import LinearModel, evaluate, read_solution, write_lp
 from dagpart import BuildOptions, build_proposed, build_undirected
-from dagpart.errors import NonIntegralValueError, SolutionParseError
+from dagpart.errors import (NonIntegralValueError, SolutionParseError,
+                            UnrepresentableCoefficientError)
+from dagpart.model import _round_integral
 
 from conftest import chain
 
@@ -219,3 +222,210 @@ def test_write_lp_formats_fraction_and_float_coefficients():
     text = write_lp(m)
     assert " obj: - a + 0.25 b\n" in text
     assert " c: 0.5 a - 2 b + 2 a <= 0.75\n" in text
+
+
+# -- unrepresentable coefficients ---------------------------------------------
+
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+# a non-integral Fraction whose float overflows, so write_lp could not print it
+OVERFLOWING = Fraction(10**400, 3)
+
+
+def _two_vars():
+    m = LinearModel("bad")
+    m.add_binary("a")
+    m.add_binary("b")
+    return m
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING])
+@pytest.mark.parametrize("place", ["first term", "last term", "rhs", "objective"])
+def test_unrepresentable_coefficient_rejected(place, bad):
+    m = _two_vars()
+    with pytest.raises(UnrepresentableCoefficientError):
+        if place == "first term":
+            m.add_constraint("c", [(bad, "a"), (1, "b")], "<=", 1)
+        elif place == "last term":
+            m.add_constraint("c", [(1, "a"), (Fraction(1, 2), "b"), (bad, "a")], "<=", 1)
+        elif place == "rhs":
+            m.add_constraint("c", [(1, "a"), (1, "b")], "<=", bad)
+        else:
+            m.set_objective("min", [(1, "a"), (bad, "b")])
+    assert m.constraints == [] and m.objective_terms == ()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING])
+@pytest.mark.parametrize("side", ["lb", "ub"])
+def test_unrepresentable_bound_rejected(side, bad):
+    m = LinearModel("bad")
+    bounds = {"lb": 0, "ub": 1, side: bad}
+    with pytest.raises(UnrepresentableCoefficientError):
+        m.add_continuous("c", bounds["lb"], bounds["ub"])
+    with pytest.raises(UnrepresentableCoefficientError):
+        m.add_integer("i", bounds["lb"], bounds["ub"])
+    assert m.variables == []
+
+
+def test_huge_integral_coefficients_are_kept_exactly():
+    m = _two_vars()
+    m.add_continuous("c", 0, Fraction(10**400, 1))
+    m.add_constraint("c1", [(Fraction(10**400, 1), "a"), (1, "b")], "<=", 10**400)
+    assert m.constraints[0].terms[0][0] == 10**400
+    text = write_lp(m)
+    assert f" c1: {10**400} a + b <= {10**400}\n" in text
+    assert f" 0 <= c <= {10**400}\n" in text
+
+
+# -- stored terms ----------------------------------------------------------------
+
+UNKNOWN_ROWS = [
+    [(1, "zz")],
+    [(1, "a"), (1, "zz")],
+    [(1, "a"), (1, "b"), (-1, "zz")],
+    [(Fraction(1, 2), "a"), (1, "zz")],
+    [(0.5, "a"), (1, "b"), (1, "zz")],
+    [(1, "a"), (2.0, "b"), (3, "zz"), (1, "a")],
+    [[1, "a"], [1, "zz"]],
+]
+
+
+@pytest.mark.parametrize("terms", UNKNOWN_ROWS)
+def test_unknown_name_rejected_at_any_position(terms):
+    m = _two_vars()
+    with pytest.raises(ValueError, match="unknown variable 'zz'"):
+        m.add_constraint("c", terms, "<=", 1)
+    with pytest.raises(ValueError, match="unknown variable 'zz'"):
+        m.set_objective("min", terms)
+    assert m.constraints == [] and m.objective_terms == ()
+
+
+def test_terms_stored_as_tuple_of_pairs():
+    m = _two_vars()
+    m.add_constraint("gen", ((c, n) for c, n in [(1, "a"), (-1, "b")]), "<=", 0)
+    m.add_constraint("lists", [[1, "a"], [-1, "b"]], "<=", 0)
+    m.set_objective("min", ([c, n] for c, n in [(2, "a"), (3, "b")]))
+    for terms in [con.terms for con in m.constraints] + [m.objective_terms]:
+        assert type(terms) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in terms)
+    assert m.constraints[0].terms == m.constraints[1].terms == ((1, "a"), (-1, "b"))
+    assert m.objective_terms == ((2, "a"), (3, "b"))
+
+
+def test_all_integer_terms_keep_the_callers_pairs():
+    m = _two_vars()
+    pairs = [(1, "a"), (-3, "b")]
+    m.add_constraint("c", pairs, "<=", 0)
+    assert all(stored is given for stored, given in zip(m.constraints[0].terms, pairs))
+
+
+@pytest.mark.parametrize("given, stored", [
+    (Fraction(4, 2), 2), (2.0, 2), (True, 1), (-0.0, 0),
+    (Fraction(1, 2), Fraction(1, 2)), (0.25, Fraction(1, 4)),
+])
+def test_coefficients_normalised_once(given, stored):
+    m = _two_vars()
+    m.add_constraint("c", [(1, "a"), (given, "b")], "<=", given)
+    m.set_objective("min", [(given, "a")])
+    (_, (coef, _)), rhs = m.constraints[0].terms, m.constraints[0].rhs
+    (obj, _), = m.objective_terms
+    for value in (coef, rhs, obj):
+        assert value == stored and type(value) is type(stored)
+
+
+def test_constraint_is_immutable_and_unpacks():
+    m = _two_vars()
+    m.add_constraint("c", [(1, "a"), (1, "b")], ">=", 1)
+    con = m.constraints[0]
+    with pytest.raises(AttributeError):
+        con.rhs = 2
+    name, terms, sense, rhs = con
+    assert (name, terms, sense, rhs) == ("c", ((1, "a"), (1, "b")), ">=", 1)
+    assert (con.name, con.terms, con.sense, con.rhs) == (name, terms, sense, rhs)
+
+
+# -- evaluate against a sum() reference -----------------------------------------
+
+def _reference_evaluate(m, assignment, early_exit=False):
+    """evaluate as written with sum() over each row."""
+    values = {}
+    violations = []
+    for var in m.variables:
+        value = assignment.get(var.name, 0)
+        if type(value) is not int:
+            value = _round_integral(var, Fraction(value), strict=False)
+        values[var.name] = value
+    for var in m.variables:
+        value = values[var.name]
+        if var.kind in ("binary", "integer") and value.denominator != 1:
+            violations.append(f"domain: {var.name} = {value} not integral")
+        elif (var.lb is not None and value < var.lb) or \
+                (var.ub is not None and value > var.ub):
+            violations.append(f"domain: {var.name} = {value} outside "
+                              f"[{var.lb}, {var.ub}]")
+        if violations and early_exit:
+            break
+    if not (violations and early_exit):
+        for con in m.constraints:
+            lhs = sum(coef * values[name] for coef, name in con.terms)
+            ok = (lhs <= con.rhs if con.sense == "<=" else
+                  lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
+            if not ok:
+                violations.append(f"{con.name}: {lhs} {con.sense} {con.rhs} fails")
+                if early_exit:
+                    break
+    objective = sum(coef * values[name] for coef, name in m.objective_terms)
+    return not violations, tuple(violations), objective
+
+
+def _random_number(rng):
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+
+
+def _random_value(rng, var):
+    base = rng.randint(0, 1) if var.kind == "binary" else rng.randint(-1, 3)
+    if var.kind == "continuous":
+        return rng.choice([base, Fraction(rng.randint(-2, 12), 4), 0.75])
+    if rng.random() < 0.05:
+        return base + Fraction(1, 10**5)                # too far to round
+    return rng.choice([
+        base,
+        base + Fraction(rng.choice([-1, 1]), 10**7),   # rounds to base
+        base - 1e-9,                                    # rounds to base
+    ])
+
+
+def _random_model(rng):
+    m = LinearModel("random")
+    names = []
+    for i in range(rng.randint(2, 6)):
+        kind = rng.choice(["binary", "integer", "continuous"])
+        if kind == "binary":
+            names.append(m.add_binary(f"b{i}"))
+        elif kind == "integer":
+            names.append(m.add_integer(f"i{i}", -1, 3))
+        else:
+            names.append(m.add_continuous(f"c{i}", Fraction(-1, 2),
+                                          rng.choice([None, 3, Fraction(7, 2)])))
+    point = {name: _random_value(rng, m.var(name)) for name in names}
+    for r in range(rng.randint(1, 6)):
+        terms = [(_random_number(rng), rng.choice(names))
+                 for _ in range(rng.randint(1, 4))]
+        near = sum(Fraction(c) * Fraction(point[n]) for c, n in terms)
+        sense = rng.choice(["<=", ">=", "="])
+        slack = rng.choice([0, 0, 0, 1]) * (-1 if sense == ">=" else 1)
+        m.add_constraint(f"r{r}", terms, sense, round(near) + slack)
+    m.set_objective("min", [(_random_number(rng), n) for n in names])
+    return m, point
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_evaluate_matches_sum_reference(early_exit):
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(400):
+        m, point = _random_model(rng)
+        res = evaluate(m, point, early_exit=early_exit)
+        assert (res.feasible, res.violations, res.objective) == \
+            _reference_evaluate(m, point, early_exit)
+        outcomes.add(res.feasible)
+    assert outcomes == {True, False}
