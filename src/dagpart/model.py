@@ -68,10 +68,13 @@ def _exact(value, where: str):
     if frac.denominator == 1:
         return frac.numerator
     try:
-        float(frac)
+        as_float = float(frac)
     except OverflowError:
         raise UnrepresentableCoefficientError(
             f"coefficient in {where} is too large for a float") from None
+    if as_float == 0.0:  # frac is not integral, so it is not 0
+        raise UnrepresentableCoefficientError(
+            f"coefficient in {where} is too small for a float")
     return frac
 
 

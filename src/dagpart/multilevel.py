@@ -7,17 +7,26 @@ projected partition, stays acyclic.  It pops the heaviest candidate from a
 lazy heap and drops a rejected one for good, since a rejected edge stays
 rejected until a merge re-costs it, which pushes it again.  It merges v
 into u in place, keeping a topological order by reordering the vertices
-between u and v, and builds a `Dag` only for each level, which spans
-CONTRACTIONS_PER_LEVEL contractions.  Each projected partition is refined
-by Fiduccia-Mattheyses passes that keep the part numbering topological
-(`refine_moves`).  Only the input graph, whose partition is returned, is
-then polished by a warm-started branch and bound of FINEST_POLISH_FACTOR
-times the budget.
+between u and v, and records a level, which spans CONTRACTIONS_PER_LEVEL
+contractions, as plain weight and edge tuples.  A level's `Dag` is built
+only when it is read: the pipeline reads it only for each coarsest graph
+that it hands to branch and bound.  Each projected partition is refined by
+Fiduccia-Mattheyses passes that keep the part numbering topological
+(`refine_moves`); they read only the weights and the edges.  Only the input
+graph, whose partition is returned, is then polished by a warm-started
+branch and bound of FINEST_POLISH_FACTOR times the budget.
+
+The levels between the input and the coarsest graph are therefore not
+checked by `Dag` at run time.  The output still is: `refine_moves` raises
+ValueError on a part numbering that is not topological at every level, and
+the final polish validates its warm start on the input graph before it
+searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -42,10 +51,17 @@ FINEST_POLISH_FACTOR = 10
 
 @dataclass(frozen=True)
 class CoarseningLevel:
-    """A coarser graph plus the fine->coarse mapping of the steps it spans."""
+    """A coarser graph, as its weights and its sorted edges, plus the
+    fine->coarse mapping of the steps it spans."""
 
-    graph: Dag
+    w: tuple[int, ...]
+    edges: tuple[tuple[int, int, int], ...]
     mapping: tuple[int, ...]
+
+    @cached_property
+    def graph(self) -> Dag:
+        """The level as a validated `Dag`, built on first access."""
+        return Dag(self.w, self.edges)
 
 
 def _contraction_safe(succ, position, u: int, v: int) -> set[int] | None:
@@ -102,9 +118,10 @@ def coarsen(g: Dag, target_n: int,
     to u visits only v's neighbours, but a merge still costs O(n), since it
     rewrites the positions after u and the level-above mapping.  Sorting
     the clusters by id numbers them as a rebuilt graph would, since merging
-    v into u keeps the relative order of the other ids.  A `Dag` is built
-    only when a level is recorded: after every CONTRACTIONS_PER_LEVEL
-    steps, and once more for a shorter tail.
+    v into u keeps the relative order of the other ids.  A level is
+    recorded after every CONTRACTIONS_PER_LEVEL steps, and once more for a
+    shorter tail, as the clusters' weights and their renumbered, sorted
+    edges; no `Dag` is built here (see `CoarseningLevel.graph`).
     A level's mapping sends each vertex of the level above to its cluster.
     """
     _check_target_n(target_n)
@@ -121,10 +138,11 @@ def coarsen(g: Dag, target_n: int,
     def record() -> None:
         ids = sorted(order)
         index = {c: i for i, c in enumerate(ids)}
-        graph = Dag([weight[c] for c in ids],
-                    sorted((index[a], index[b], cost)
-                           for a in ids for b, cost in succ[a].items()))
-        levels.append(CoarseningLevel(graph, tuple(index[c] for c in above)))
+        levels.append(CoarseningLevel(
+            tuple(weight[c] for c in ids),
+            tuple(sorted((index[a], index[b], cost)
+                         for a in ids for b, cost in succ[a].items())),
+            tuple(index[c] for c in above)))
         above[:] = ids
 
     while len(order) > target_n:
@@ -201,7 +219,8 @@ def initial_partition(coarsest: Dag, k: int, eps=0,
     return result.partition
 
 
-def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
+def refine_moves(g: Dag | CoarseningLevel, p: Partition, k: int,
+                 bound: int) -> Partition:
     """Fiduccia-Mattheyses passes that keep part(u) <= part(v) on every edge.
 
     Vertex v may go to any part q between lo, the largest part among its
@@ -219,11 +238,13 @@ def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
     unlocked neighbours are scored again.  The pass then rolls back to its
     best prefix of moves, the earliest on ties.  Passes repeat until one
     gains nothing, so every pass but the last lowers the cut.  Raises
-    ValueError unless p's numbering is topological to begin with.
+    ValueError unless p's numbering is topological to begin with.  Only g's
+    weights `w` and edges are read, so g may be a `CoarseningLevel`.
     """
     part = list(p.assignment)
-    preds = [[] for _ in range(g.n)]
-    succs = [[] for _ in range(g.n)]
+    n = len(g.w)
+    preds = [[] for _ in range(n)]
+    succs = [[] for _ in range(n)]
     for u, v, c in g.edges:
         if part[u] > part[v]:
             raise ValueError(f"edge ({u},{v}) runs from part {part[u]} back to "
@@ -261,10 +282,10 @@ def refine_moves(g: Dag, p: Partition, k: int, bound: int) -> Partition:
         return best
 
     while True:
-        stamp = [0] * g.n
-        locked = [False] * g.n
+        stamp = [0] * n
+        locked = [False] * n
         heap = []
-        for v in range(g.n):
+        for v in range(n):
             if (move := best_move(v)) is not None:
                 heap.append((-move[0], v, move[1], 0))
         heapify(heap)
@@ -320,11 +341,11 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
     `branch_and_bound` does; projection keeps that numbering.
     """
     bound = balance_bound(g, k, eps)
-    graphs = [g] + [level.graph for level in levels]
+    graphs = [g] + levels
     current = coarse_partition
     for idx in range(len(levels) - 1, -1, -1):
         finer = graphs[idx]
-        current = project(current, levels[idx].mapping, finer.n)
+        current = project(current, levels[idx].mapping, len(finer.w))
         current = refine_moves(finer, current, k, bound)
     # a warm-started search always returns a partition, at worst the warm one
     try:

@@ -229,6 +229,9 @@ def test_write_lp_formats_fraction_and_float_coefficients():
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
 # a non-integral Fraction whose float overflows, so write_lp could not print it
 OVERFLOWING = Fraction(10**400, 3)
+# non-zero Fractions whose floats underflow to 0.0, so write_lp would print
+# 0.0 and state a different model from the one evaluate checks
+UNDERFLOWING = [Fraction(1, 10**400), Fraction(-1, 10**400)]
 
 
 def _two_vars():
@@ -238,7 +241,7 @@ def _two_vars():
     return m
 
 
-@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING])
+@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING] + UNDERFLOWING)
 @pytest.mark.parametrize("place", ["first term", "last term", "rhs", "objective"])
 def test_unrepresentable_coefficient_rejected(place, bad):
     m = _two_vars()
@@ -254,7 +257,7 @@ def test_unrepresentable_coefficient_rejected(place, bad):
     assert m.constraints == [] and m.objective_terms == ()
 
 
-@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING])
+@pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING] + UNDERFLOWING)
 @pytest.mark.parametrize("side", ["lb", "ub"])
 def test_unrepresentable_bound_rejected(side, bad):
     m = LinearModel("bad")

@@ -172,18 +172,44 @@ def test_contract_merges_weights_and_costs():
     assert level.graph.edges == ((0, 1, 3),)
 
 
-def test_coarsen_builds_one_dag_per_level(monkeypatch):
+def _count_dags(monkeypatch) -> list:
+    """Record every Dag constructed from now on, wherever it is built."""
     built = []
+    init = Dag.__init__
 
-    def counting_dag(*args):
-        built.append(Dag(*args))
-        return built[-1]
+    def counting_init(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(dagpart.multilevel, "Dag", counting_dag)
-    levels = coarsen(chain(24), 2)
+    monkeypatch.setattr(Dag, "__init__", counting_init)
+    return built
+
+
+def test_coarsen_builds_no_dag(monkeypatch):
+    g = chain(24)
+    built = _count_dags(monkeypatch)
+    levels = coarsen(g, 2)
     # 22 contractions, recorded four at a time plus a tail of two
     assert len(levels) == 6
-    assert [level.graph for level in levels] == built
+    assert built == []
+    # a level's Dag is built on first access and kept
+    graph = levels[2].graph
+    assert built == [graph]
+    assert (graph.w, graph.edges) == (levels[2].w, levels[2].edges)
+    assert levels[2].graph is graph
+    assert built == [graph]
+
+
+def test_multilevel_builds_a_dag_per_coarsest_graph_tried(monkeypatch):
+    # one Dag for each coarsest graph handed to the initial solve, none for
+    # the input graph or the levels that are only refined
+    cases = list(_multilevel_pin_cases())
+    cases.append((random_dag(random.Random(3030), 300, p=3 / 300), 4))
+    built = _count_dags(monkeypatch)
+    for g, k in cases:
+        del built[:]
+        _, info = multilevel_partition(g, k, Fraction(1, 10))
+        assert len(built) == sum(info["fallbacks"].values()) + (info["levels"] > 0)
 
 
 def test_coarsen_conserves_weight():
@@ -317,7 +343,8 @@ def test_uncoarsen_refine_polish_schedule(monkeypatch):
     assert validate(g, p, 2, 0).feasible
     [levels] = coarsened
     assert info["levels"] == len(levels) >= 3
-    graphs = [g] + [level.graph for level in levels]
+    # the levels are refined as they are, without a Dag; the polish gets g
+    graphs = [g] + levels
     idx_of = {id(h): idx for idx, h in enumerate(graphs)}
     assert [idx_of[id(h)] for h in moved] == list(range(len(levels) - 1, -1, -1))
     assert [(idx_of[id(h)], nodes) for h, nodes in polished] == [(0, 2000)]
@@ -447,10 +474,11 @@ def test_projection_keeps_the_cut():
 
 
 # --- pinned coarsening levels ----------------------------------------------
-# sha256 over every level's (graph.w, graph.edges, mapping) that `coarsen`
-# returns on seeded random and id-shuffled layered DAGs, each without and
-# with a weight cap.  A rewrite of the contraction must keep the levels, their
-# vertex numbering and their edge order.
+# sha256 over every level's (w, edges, mapping) that `coarsen` returns on
+# seeded random and id-shuffled layered DAGs, each without and with a weight
+# cap.  A rewrite of the contraction must keep the levels, their vertex
+# numbering and their edge order.  Each level's Dag is built too, and must
+# hold the same weights and edges in the same order.
 
 def _coarsen_pin_cases():
     rng = random.Random(7373)
@@ -470,7 +498,8 @@ def test_coarsen_levels_pinned():
     cases = levels = 0
     for g, target, cap in _coarsen_pin_cases():
         for level in coarsen(g, target, max_weight=cap):
-            digest.update(repr((level.graph.w, level.graph.edges, level.mapping)).encode())
+            assert (level.w, level.edges) == (level.graph.w, level.graph.edges)
+            digest.update(repr((level.w, level.edges, level.mapping)).encode())
             levels += 1
         digest.update(b"|")
         cases += 1
