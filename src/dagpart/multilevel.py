@@ -7,8 +7,12 @@ projected partition, stays acyclic.  It pops the heaviest candidate from a
 lazy heap and drops a rejected one for good, since a rejected edge stays
 rejected until a merge re-costs it, which pushes it again.  It merges v
 into u in place, keeping a topological order by reordering the vertices
-between u and v, and records a level, which spans CONTRACTIONS_PER_LEVEL
-contractions, as plain weight and edge tuples.  A level's `Dag` is built
+between u and v, and records a level as plain weight and edge tuples.  A
+level spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR) contractions,
+where n counts the vertices of the level above, so the graphs shrink
+geometrically and an n-vertex input gives O(log n) levels, not n / 4.  The
+pipeline caps a cluster's weight at half the balance bound, which leaves
+the coarsest graph room to pack.  A level's `Dag` is built
 only when it is read: the pipeline reads it only for each coarsest graph
 that it hands to branch and bound.  Each projected partition is refined by
 Fiduccia-Mattheyses passes that keep the part numbering topological
@@ -42,10 +46,13 @@ from .partition import Partition, balance_bound
 
 DEFAULT_REFINE_BUDGET = 1_000
 # One-edge contractions make graphs that differ by one vertex, so a level
-# spans four of them and only every fourth graph is built and refined.  The
+# spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR) of them, n being the
+# vertex count of the level above: an eighth of the graph per level, and
+# four steps below 40 vertices, where the fallbacks step back a level.  The
 # one branch-and-bound polish, of the input graph, gets FINEST_POLISH_FACTOR
 # times the initial solve's node budget; the cut rose without it.
 CONTRACTIONS_PER_LEVEL = 4
+LEVEL_DIVISOR = 8
 FINEST_POLISH_FACTOR = 10
 
 
@@ -119,7 +126,8 @@ def coarsen(g: Dag, target_n: int,
     rewrites the positions after u and the level-above mapping.  Sorting
     the clusters by id numbers them as a rebuilt graph would, since merging
     v into u keeps the relative order of the other ids.  A level is
-    recorded after every CONTRACTIONS_PER_LEVEL steps, and once more for a
+    recorded once it spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR)
+    steps, n being the vertex count of the level above, and once more for a
     shorter tail, as the clusters' weights and their renumbered, sorted
     edges; no `Dag` is built here (see `CoarseningLevel.graph`).
     A level's mapping sends each vertex of the level above to its cluster.
@@ -181,7 +189,8 @@ def coarsen(g: Dag, target_n: int,
             position[order[pos]] = pos
         above[:] = [u if c == v else c for c in above]
         # each step removes one vertex
-        if len(above) - len(order) == CONTRACTIONS_PER_LEVEL:
+        if len(above) - len(order) == max(CONTRACTIONS_PER_LEVEL,
+                                          len(above) // LEVEL_DIVISOR):
             record()
     if len(above) > len(order):
         record()
@@ -368,8 +377,10 @@ def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
     _check_target_n(target_n)
     if budget_nodes < 0:
         raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
+    # Clusters of at most half the balance bound leave the coarsest graph
+    # room to pack; the full bound still governs every search and every move.
     cap = balance_bound(g, k, eps)
-    levels = coarsen(g, target_n, max_weight=cap)
+    levels = coarsen(g, target_n, max_weight=cap // 2)
     # The weight cap keeps the coarsest graph partitionable in the common
     # case, but interactions between balance and acyclicity can still make
     # it infeasible, and the budget can run out before a partition is found;

@@ -272,14 +272,30 @@ def test_multilevel_cli(capsys, tmp_path):
 
 
 def test_multilevel_cli_reports_fallbacks(capsys, tmp_path):
-    # contracting 1->3 leaves three vertices of weight 3 under bound 5
+    # contracting 4->5 (weight 2, half the bound 5) leaves five vertices of
+    # weight 2, which no two parts of weight 5 hold
     path = tmp_path / "f.dag"
-    write_dag_file(Dag([3, 2, 3, 1], [(1, 3, 1)]), path)
+    write_dag_file(Dag([2, 2, 2, 2, 1, 1], [(4, 5, 1)]), path)
     code, payload, _ = run(capsys, "multilevel", "--graph", str(path),
                            "--k", "2", "--target-n", "2")
     assert code == 0
     assert payload["fallbacks"] == {"infeasible": 1, "budget": 0}
     assert payload["levels"] == 0
+
+
+def test_multilevel_cli_chain20_install_smoke(capsys, tmp_path):
+    # the install-smoke CI job's check on the console script: a 20-vertex
+    # chain coarsened to 2 vertices runs coarsening and refinement, and cut
+    # 1 is the optimum
+    path = tmp_path / "chain20.dag"
+    path.write_text("p adag 20 19\n" + "v 1\n" * 20
+                    + "".join(f"e {i} {i + 1} 1\n" for i in range(19)))
+    code, payload, _ = run(capsys, "multilevel", "--graph", str(path),
+                           "--k", "2", "--target-n", "2")
+    assert code == 0
+    assert payload["feasible"] is True
+    assert payload["levels"] >= 1
+    assert payload["cut"] == 1
 
 
 def test_partition_beyond_recursion_limit_exits_4(capsys, tmp_path):

@@ -29,6 +29,7 @@ from dagpart.errors import (
 from dagpart.exact import branch_and_bound
 from dagpart.multilevel import (
     CONTRACTIONS_PER_LEVEL,
+    LEVEL_DIVISOR,
     _contraction_safe,
     initial_partition,
     uncoarsen_refine,
@@ -111,15 +112,19 @@ def test_coarsen_contracts_first_acyclic_edge_under_cap():
     # oracle: merging u and v closes a cycle iff another u->v path exists, so
     # each step must contract the first edge in (-cost, u, v) order whose
     # contraction stays under the cap and still builds a Dag, as `_contract`
-    # rebuilds it.  A level spans CONTRACTIONS_PER_LEVEL steps, the last one
-    # 1 to CONTRACTIONS_PER_LEVEL, and its mapping composes theirs.
+    # rebuilds it.  A level spans max(CONTRACTIONS_PER_LEVEL, n_above //
+    # LEVEL_DIVISOR) steps, n_above being the vertex count of the level
+    # above, the last one 1 to that many, and its mapping composes theirs.
+    # The cases reach n = 60, so spans of 5 to 7 steps are checked too.
+    spans = set()
     for g, target, cap in _coarsen_cases():
         levels = coarsen(g, target, max_weight=cap)
         current = g
         for pos, level in enumerate(levels):
+            span = max(CONTRACTIONS_PER_LEVEL, current.n // LEVEL_DIVISOR)
             mapping = tuple(range(current.n))
             steps = 0
-            while steps < CONTRACTIONS_PER_LEVEL and current.n > target:
+            while steps < span and current.n > target:
                 chosen = _first_contraction(current, cap)
                 if chosen is None:
                     break
@@ -127,13 +132,15 @@ def test_coarsen_contracts_first_acyclic_edge_under_cap():
                 mapping = tuple(step[i] for i in mapping)
                 steps += 1
             if pos < len(levels) - 1:
-                assert steps == CONTRACTIONS_PER_LEVEL
+                assert steps == span
+                spans.add(span)
             assert 1 <= steps
             assert (current.w, current.edges, mapping) == (
                 level.graph.w, level.graph.edges, level.mapping)
             current = level.graph
         # coarsening stopped: at the target, or no candidate left
         assert current.n <= target or _first_contraction(current, cap) is None
+    assert spans >= {4, 5, 6, 7}
 
 
 def test_coarsen_tests_each_candidate_once(monkeypatch):
@@ -257,7 +264,8 @@ def test_initial_partition_infeasible():
 
 
 def test_multilevel_chain_exact():
-    g = chain(9)
+    # bound 4 caps clusters at weight 2, so the ten vertices pair up
+    g = chain(10)
     p, info = multilevel_partition(g, 3, target_n=4)
     report = validate(g, p, 3, 0)
     assert report.feasible
@@ -383,12 +391,26 @@ def test_multilevel_falls_back_on_budget_stop():
 
 
 def test_multilevel_reports_infeasible_fallbacks():
-    # contracting 1->3 leaves three vertices of weight 3 under bound 5
-    g = Dag([3, 2, 3, 1], [(1, 3, 1)])
+    # contracting 4->5 (weight 2, half the bound 5) leaves five vertices of
+    # weight 2, which no two parts of weight 5 hold
+    g = Dag([2, 2, 2, 2, 1, 1], [(4, 5, 1)])
     p, info = multilevel_partition(g, 2, target_n=2)
     assert info["fallbacks"] == {"infeasible": 1, "budget": 0}
     assert info["levels"] == 0
     assert validate(g, p, 2, 0).feasible
+
+
+def test_multilevel_scale_levels_and_feasibility():
+    # levels shrink the graph geometrically: 19 levels here, where a level
+    # every four contractions made 463.  The pass must also return a
+    # partition, whatever coarsest graph its fallbacks end on.
+    g = random_dag(random.Random(0), 2000, p=3 / 2000)
+    eps = Fraction(1, 10)
+    levels = coarsen(g, 8, max_weight=balance_bound(g, 4, eps) // 2)
+    assert len(levels) <= 30
+    p, info = multilevel_partition(g, 4, eps)
+    assert info["levels"] <= len(levels)
+    assert validate(g, p, 4, eps).feasible
 
 
 def _refine_cases():
@@ -490,7 +512,7 @@ def _coarsen_pin_cases():
         yield g, target, balance_bound(g, rng.randint(2, 4), Fraction(1, 10))
 
 
-COARSEN_PIN_SHA256 = "df19c13f08112f3d4f900208d895988d9b6f7c5a73eef4d0cf4c911f9402018d"
+COARSEN_PIN_SHA256 = "6c84c051600ba07e3e218e4c9ccc637f3abefc778a29f29d9d925d3bdb06a648"
 
 
 def test_coarsen_levels_pinned():
@@ -503,7 +525,7 @@ def test_coarsen_levels_pinned():
             levels += 1
         digest.update(b"|")
         cases += 1
-    assert (cases, levels) == (40, 436)
+    assert (cases, levels) == (40, 374)
     assert digest.hexdigest() == COARSEN_PIN_SHA256
 
 
@@ -520,7 +542,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "9c8598ee59467038269b1b401d71f4d630d2c8d597b3ceac65d7e4d68febe1ae"
+MULTILEVEL_PIN_SHA256 = "a8d943c744861f7c1e902a2bd370792db714a560aab033aac0d36300d83f10fb"
 
 
 def test_multilevel_outputs_pinned():
