@@ -12,9 +12,9 @@ level spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR) contractions,
 where n counts the vertices of the level above, so the graphs shrink
 geometrically and an n-vertex input gives O(log n) levels, not n / 4.  The
 pipeline caps a cluster's weight at half the balance bound, which leaves
-the coarsest graph room to pack.  A level's `Dag` is built
-only when it is read: the pipeline reads it only for each coarsest graph
-that it hands to branch and bound.  Each projected partition is refined by
+the coarsest graph room to pack.  A level's `Dag` is built only when it is
+read: the pipeline reads it only for each coarsest graph that it hands to
+branch and bound.  Each projected partition is refined by
 Fiduccia-Mattheyses passes that keep the part numbering topological
 (`refine_moves`); they read only the weights and the edges.  Only the input
 graph, whose partition is returned, is then polished by a warm-started
@@ -379,9 +379,8 @@ def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
         raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
     # Clusters of at most half the balance bound leave the coarsest graph
     # room to pack; the full bound still governs every search and every move.
-    cap = balance_bound(g, k, eps)
-    levels = coarsen(g, target_n, max_weight=cap // 2)
-    # The weight cap keeps the coarsest graph partitionable in the common
+    levels = coarsen(g, target_n, max_weight=balance_bound(g, k, eps) // 2)
+    # The cap keeps the coarsest graph partitionable in the common
     # case, but interactions between balance and acyclicity can still make
     # it infeasible, and the budget can run out before a partition is found;
     # fall back to finer levels until one solves.

@@ -408,8 +408,7 @@ def test_multilevel_scale_levels_and_feasibility():
     eps = Fraction(1, 10)
     levels = coarsen(g, 8, max_weight=balance_bound(g, 4, eps) // 2)
     assert len(levels) <= 30
-    p, info = multilevel_partition(g, 4, eps)
-    assert info["levels"] <= len(levels)
+    p, _ = multilevel_partition(g, 4, eps)
     assert validate(g, p, 4, eps).feasible
 
 
