@@ -96,10 +96,6 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveR
     return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)
 
 
-class _Stopped(Exception):
-    """Unwinds the search when the budget runs out; args[0] is the node count."""
-
-
 def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                      budget: SolveBudget | None = None, nq=None,
                      lm: int | None = None) -> SolveResult:
@@ -128,8 +124,8 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     count exceeds budget.max_nodes (it then reports max_nodes + 1 nodes), or
     when the deadline has passed at a node count that is a multiple of 256.
 
-    The search recurses once per vertex, so a graph with more vertices than
-    the interpreter's recursion limit allows raises TooLargeError.
+    The search walks the tree in one loop and keeps the frame of each vertex
+    on the current path in a list, so it uses O(n) memory at any depth.
     """
     budget = budget or SolveBudget()
     bound = balance_bound(g, k, eps)
@@ -162,6 +158,8 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         tail = g.w[v] + g.mask_weight(descendant_masks[v])
         plan.append((v, g.w[v], preds, sum(c for _, c in preds), tail))
     n = g.n
+    if n == 0:  # no vertex to assign: the empty assignment is the only leaf
+        return SolveResult(OPTIMAL, Partition((), k), 0, 0)
     part_of = [-1] * n
     part_weights = [0] * k
     part_masks = [0] * k if nq is not None else None
@@ -170,58 +168,62 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                 if budget.max_time is not None else math.inf)
     monotonic = time.monotonic
 
-    def descend(depth: int, cut: int, nodes: int) -> int:
-        nonlocal best_cut, best_assignment
-        if depth == n:
-            if cut < best_cut:
-                best_cut = cut
-                best_assignment = tuple(part_of)
-            return nodes
-        v, weight, preds, total, tail = plan[depth]
-        s_min = same = 0
-        for u, c in preds:
-            s = part_of[u]
-            if s > s_min:
-                s_min, same = s, c
-            elif s == s_min:
-                same += c
-        cut_above = cut + total  # the child's cut for every s > s_min
-        child_cut = cut_above - same
-        # free room in parts >= s, for each s tried below
-        room = (k - s_min) * bound - sum(part_weights[s_min:])
-        for s in range(s_min, k):
+    # path[d] keeps the frame of the vertex at depth d while the search is
+    # below it: (part, cut_above, room, that part's qubit mask before it).
+    # The root vertex has no predecessors: s_min is 0 and every part is free.
+    path = [None] * n
+    nodes = depth = s = cut_above = child_cut = 0
+    room = k * bound
+    v, weight, _, _, tail = plan[0]
+    while True:
+        if s < k:
             nodes += 1
             if nodes > limit or (nodes & 255 == 0 and monotonic() > deadline):
-                raise _Stopped(nodes)
+                status = STOPPED
+                break
             if (part_weights[s] + weight <= bound and tail <= room
                     and child_cut < best_cut
                     and (part_masks is None
                          or (part_masks[s] | nq[v]).bit_count() <= lm)):
-                if part_masks is not None:
-                    old_mask = part_masks[s]
-                    part_masks[s] = old_mask | nq[v]
                 part_of[v] = s
-                part_weights[s] += weight
-                nodes = descend(depth + 1, child_cut, nodes)
-                part_weights[s] -= weight
-                if part_masks is not None:
-                    part_masks[s] = old_mask
-            child_cut = cut_above
-            room -= bound - part_weights[s]
-        return nodes
-
-    try:
-        nodes = descend(0, 0, 0)
-        status = OPTIMAL if best_assignment is not None else INFEASIBLE
-    except _Stopped as stop:
-        nodes, status = stop.args[0], STOPPED
-    except RecursionError:
-        raise TooLargeError(f"n={n} vertices exceed the recursion limit of "
-                            f"the search, which recurses once per vertex") from None
-    finally:
-        # descend reaches itself through its closure cell; break that cycle
-        # so the plan is freed now rather than at the next cyclic collection.
-        del descend
+                if depth + 1 == n:  # a leaf, with a cut below the incumbent's
+                    best_cut = child_cut
+                    best_assignment = tuple(part_of)
+                else:
+                    old_mask = None
+                    if part_masks is not None:
+                        old_mask = part_masks[s]
+                        part_masks[s] = old_mask | nq[v]
+                    part_weights[s] += weight
+                    path[depth] = (s, cut_above, room, old_mask)
+                    depth += 1
+                    v, weight, preds, total, tail = plan[depth]
+                    s_min = same = 0
+                    for u, c in preds:
+                        s = part_of[u]
+                        if s > s_min:
+                            s_min, same = s, c
+                        elif s == s_min:
+                            same += c
+                    cut_above = child_cut + total  # the cut for any s > s_min
+                    child_cut = cut_above - same
+                    # free room in parts >= s, for each s tried at this depth
+                    room = (k - s_min) * bound - sum(part_weights[s_min:])
+                    s = s_min
+                    continue
+        elif depth:  # every part tried: take the vertex above out of its part
+            depth -= 1
+            s, cut_above, room, old_mask = path[depth]
+            v, weight, _, _, tail = plan[depth]
+            part_weights[s] -= weight
+            if part_masks is not None:
+                part_masks[s] = old_mask
+        else:  # every part of the root tried: the search is complete
+            status = OPTIMAL if best_assignment is not None else INFEASIBLE
+            break
+        child_cut = cut_above
+        room -= bound - part_weights[s]
+        s += 1
     if best_assignment is None:
         return SolveResult(status, None, None, nodes)
     return SolveResult(status, Partition(best_assignment, k), best_cut, nodes)

@@ -39,7 +39,6 @@ from .errors import (
     BudgetExhaustedError,
     InfeasibleInstanceError,
     InvalidProjectionError,
-    TooLargeError,
 )
 from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
@@ -342,9 +341,6 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
     budget_nodes nodes, and it runs even when levels is empty.  Polishing
     every level as well made most of the search calls and lowered the cut
     in few of them; dropping the final polish too left the cut higher.
-    The search recurses once per vertex, so when g has too many vertices
-    for the recursion limit the polish is skipped and the moved partition
-    is returned.
 
     coarse_partition must number its parts topologically, as
     `branch_and_bound` does; projection keeps that numbering.
@@ -357,11 +353,8 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
         current = project(current, levels[idx].mapping, len(finer.w))
         current = refine_moves(finer, current, k, bound)
     # a warm-started search always returns a partition, at worst the warm one
-    try:
-        return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
-            max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
-    except TooLargeError:
-        return current
+    return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
+        max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
 
 
 def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,

@@ -298,14 +298,13 @@ def test_multilevel_cli_chain20_install_smoke(capsys, tmp_path):
     assert payload["cut"] == 1
 
 
-def test_partition_beyond_recursion_limit_exits_4(capsys, tmp_path):
+def test_partition_beyond_recursion_limit_solves(capsys, tmp_path):
     path = tmp_path / "long.dag"
     write_dag_file(chain(3 * sys.getrecursionlimit()), path)
-    code, payload, err = run(capsys, "partition", "--graph", str(path),
-                             "--k", "2", "--budget-nodes", "5000")
-    assert code == 4
-    assert payload is None
-    assert "recursion limit" in err
+    code, payload, _ = run(capsys, "partition", "--graph", str(path),
+                           "--k", "2", "--budget-nodes", "5000")
+    assert code == 0
+    assert (payload["status"], payload["cut"], payload["nodes"]) == ("optimal", 1, 4501)
 
 
 def test_multilevel_budget_stop_exit_2(capsys, tmp_path):
@@ -356,6 +355,21 @@ def test_quantum_gates_sharing_two_qubits(capsys, tmp_path):
     # {cx a b, cz b a} and {cx b c} split only qubit b's edge between them
     assert payload["k"] == 2 and payload["cut"] == 1
     assert payload["part_qubits"] == [2, 2]
+
+
+def test_quantum_beyond_recursion_limit_solves(capsys, tmp_path):
+    # 4,500 gates on two qubits, plus an entry and an exit per qubit: one
+    # part holds them all, so the k = 1 search dives through every vertex
+    # and checks each part's qubit mask on the way down
+    units = ["h b" if i % 2 == 0 else "h a\ncx a b"
+             for i in range(3 * sys.getrecursionlimit())]
+    circuit = tmp_path / "long.qc"
+    circuit.write_text("\n".join(units) + "\n")
+    code, payload, _ = run(capsys, "quantum", "--circuit", str(circuit),
+                           "--lm", "2")
+    assert code == 0
+    assert (payload["k"], payload["cut"]) == (1, 0)
+    assert payload["part_qubits"] == [2]
 
 
 def test_quantum_capacity_infeasible_exit_3(capsys, tmp_path):

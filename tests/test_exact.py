@@ -46,11 +46,28 @@ def test_brute_force_guard():
         brute_force(g, 2)
 
 
-def test_bnb_beyond_recursion_limit_is_a_guard():
-    # the search recurses once per vertex
-    with pytest.raises(TooLargeError, match="recursion limit"):
-        branch_and_bound(chain(3 * sys.getrecursionlimit()), 2,
-                         budget=SolveBudget(max_nodes=5000))
+def test_bnb_solves_past_recursion_limit():
+    # the search keeps its path in a list, so depth is bounded by memory
+    # only; the first dive puts the chain in part 0 and backtracks from the
+    # tail, one vertex at a time, until the bound lets part 1 in
+    g = chain(3 * sys.getrecursionlimit())
+    result = branch_and_bound(g, 2, budget=SolveBudget(max_nodes=5000))
+    assert result.status == OPTIMAL
+    assert result.cut == 1
+    assert result.nodes_explored == 4501
+    assert validate(g, result.partition, 2, 0).cut == 1
+    # a budget stop in the middle of the first dive leaves no partition
+    stopped = branch_and_bound(g, 2, budget=SolveBudget(max_nodes=100))
+    assert stopped.status == STOPPED
+    assert stopped.nodes_explored == 101
+    assert stopped.partition is None and stopped.cut is None
+
+
+def test_bnb_empty_graph():
+    # no vertex to assign: the empty assignment is optimal, found without a node
+    result = branch_and_bound(Dag([], []), 2)
+    assert (result.status, result.partition, result.cut,
+            result.nodes_explored) == (OPTIMAL, Partition((), 2), 0, 0)
 
 
 def test_brute_force_k1():

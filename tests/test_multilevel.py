@@ -371,15 +371,16 @@ def test_multilevel_polishes_input_graph_without_levels():
     assert validate(g, p, 4, eps).cut == brute_force(g, 4, eps).cut == 9
 
 
-def test_polish_past_recursion_limit_returns_moved_partition():
-    # the polish recurses once per vertex; past the recursion limit it is
-    # skipped and the partition in hand is returned instead of TooLargeError
+def test_polish_runs_past_recursion_limit():
+    # with eps = 1 the bound is the whole chain, so the polish, warm-started
+    # from a cut-1 half/half split deeper than the recursion limit, finds
+    # the cut-0 partition that puts every vertex in part 0
     half = sys.getrecursionlimit()
     g = chain(2 * half)
     start = Partition((0,) * half + (1,) * half, 2)
-    p = uncoarsen_refine(g, [], start, 2)
-    assert p == start
-    assert validate(g, p, 2, 0).cut == 1
+    p = uncoarsen_refine(g, [], start, 2, eps=1)
+    assert validate(g, start, 2, 1).cut == 1
+    assert validate(g, p, 2, 1).cut == 0
 
 
 def test_multilevel_falls_back_on_budget_stop():
