@@ -25,6 +25,19 @@ def guard_enumeration(n: int, k: int, bits: int, what: str) -> None:
         raise TooLargeError(f"k^n too large for {what} (n={n}, k={k})")
 
 
+def check_qubits(g: Dag, nq, lm: int | None) -> None:
+    """Raise ValueError unless nq and lm are both None, or nq holds one
+    qubit bitmask per vertex and lm is given."""
+    if nq is None and lm is None:
+        return
+    if nq is None:
+        raise ValueError(f"L_m={lm} given without NQ masks")
+    if lm is None:
+        raise ValueError("NQ masks given without L_m")
+    if len(nq) != g.n:
+        raise ValueError(f"NQ has {len(nq)} masks, graph has {g.n} vertices")
+
+
 @dataclass(frozen=True)
 class SolveBudget:
     max_nodes: int | None = None
@@ -55,6 +68,7 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveR
     smallest assignment wins ties.
     """
     guard_enumeration(g.n, k, BRUTE_FORCE_GUARD_BITS, "brute-force enumeration")
+    check_qubits(g, nq, lm)
     bound = balance_bound(g, k, eps)
     edges = g.edges
     weights = g.w
@@ -107,28 +121,41 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     a topologically sorted part numbering, so the restriction loses no
     optimum while collapsing part-relabeling symmetry.  Because every
     predecessor sits in a part <= s_min, a child's cut grows by the total
-    predecessor cost minus the cost from part s_min when s == s_min, and by
-    the whole total when s > s_min: one pass over the predecessors per
-    vertex, O(1) per child.
+    predecessor cost minus `same`, the cost from part s_min, when s == s_min,
+    and by the whole total when s > s_min, so each child costs O(1).
+
+    Each vertex keeps, over its placed predecessors, their highest part and
+    the cost from that part.  Every other edge from them is cut in any
+    completion, so `future`, that cost summed over the vertices still to
+    come, is a lower bound on the cut left to add, and a child is tried only
+    when its cut plus `future` is strictly below the incumbent's.  Placing
+    a vertex pushes its part to each successor's next slot: a vertex owns
+    one slot per predecessor plus one, and its j-th predecessor always
+    writes slot j + 1 from slot j, so stepping back undoes nothing, and
+    s_min and `same` are read from the vertex's last slot.
 
     A vertex in part s forces all of its descendants, none of them assigned
     yet, into parts >= s.  A child is therefore tried only when the vertex
     and its descendants together fit in the free room of parts s..k-1; the
     room of parts >= s_min is summed once per vertex and lowered by one
-    part's free room per child.  The check cuts only subtrees that hold no
-    feasible leaf, so it changes the node counts but not the result.
+    part's free room per child.  Both checks cut only subtrees that hold no
+    leaf both feasible and below the incumbent, so they change the node
+    counts but not the result of a search without a budget.
 
     Each candidate (vertex, part) counts as one node, pruned or not.  A
-    child is pruned unless its cut is strictly below the incumbent, so a
     warm start is kept on ties.  The search stops with STOPPED when the node
     count exceeds budget.max_nodes (it then reports max_nodes + 1 nodes), or
-    when the deadline has passed at a node count that is a multiple of 256.
+    when the deadline has passed at a node count that is a multiple of 256;
+    one threshold, the nearer of these two stop points, is tested per node.
+    nq, when given, holds one qubit bitmask per vertex and lm caps each
+    part's qubit count; `check_qubits` rejects one without the other.
 
     The search walks the tree in one loop and keeps the frame of each vertex
     on the current path in a list, so it uses O(n) memory at any depth.
     """
     budget = budget or SolveBudget()
     bound = balance_bound(g, k, eps)
+    check_qubits(g, nq, lm)
 
     best_cut = math.inf
     best_assignment = None
@@ -148,41 +175,64 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
         best_cut = report.cut
         best_assignment = warm.assignment
 
-    # One entry per depth: (vertex, weight, ((pred, edge cost), ...), total
-    # cost, weight of the vertex and its descendants).
+    # Vertex u owns indeg(u) + 1 slots of `tops` and `sames`; its slot j
+    # holds (highest part, cost from that part) over its first j
+    # predecessors in topological order.  One entry per depth: (vertex,
+    # weight, its last slot, total predecessor cost, weight of the vertex
+    # and its descendants, ((slot j of a successor, edge cost), ...)), where
+    # the vertex is that successor's j-th predecessor.
     cost = g.cost
     descendant_masks = g.descendant_masks
+    order = g.topo.order
+    filled = [0] * g.n  # the slot that a vertex's next predecessor reads
+    slots = 0
+    for v in order:
+        filled[v] = slots
+        slots += len(g.pred[v]) + 1
+    totals = [0] * g.n
     plan = []
-    for v in g.topo.order:
-        preds = tuple((u, cost[(u, v)]) for u in g.pred[v])
+    for v in order:
+        pushes = []
+        for u in g.succ[v]:
+            c = cost[(v, u)]
+            pushes.append((filled[u], c))
+            filled[u] += 1
+            totals[u] += c
         tail = g.w[v] + g.mask_weight(descendant_masks[v])
-        plan.append((v, g.w[v], preds, sum(c for _, c in preds), tail))
+        plan.append((v, g.w[v], filled[v], totals[v], tail, tuple(pushes)))
     n = g.n
     if n == 0:  # no vertex to assign: the empty assignment is the only leaf
         return SolveResult(OPTIMAL, Partition((), k), 0, 0)
+    tops = [0] * slots
+    sames = [0] * slots
     part_of = [-1] * n
     part_weights = [0] * k
     part_masks = [0] * k if nq is not None else None
     limit = budget.max_nodes if budget.max_nodes is not None else math.inf
     deadline = (time.monotonic() + budget.max_time
-                if budget.max_time is not None else math.inf)
+                if budget.max_time is not None else None)
+    # the node count at which the budget is next read: the node stop, or the
+    # next multiple of 256 while a deadline is set
+    check = limit + 1 if deadline is None else min(limit + 1, 256)
     monotonic = time.monotonic
 
     # path[d] keeps the frame of the vertex at depth d while the search is
-    # below it: (part, cut_above, room, that part's qubit mask before it).
-    # The root vertex has no predecessors: s_min is 0 and every part is free.
+    # below it: (part, cut_above, future, room, that part's qubit mask
+    # before it).  The root vertex has no predecessors: s_min is 0 and every part is free.
     path = [None] * n
-    nodes = depth = s = cut_above = child_cut = 0
+    nodes = depth = s = cut_above = child_cut = future = 0
     room = k * bound
-    v, weight, _, _, tail = plan[0]
+    v, weight, _, _, tail, pushes = plan[0]
     while True:
         if s < k:
             nodes += 1
-            if nodes > limit or (nodes & 255 == 0 and monotonic() > deadline):
-                status = STOPPED
-                break
+            if nodes >= check:
+                if nodes > limit or monotonic() > deadline:
+                    status = STOPPED
+                    break
+                check = min(limit + 1, nodes + 256)
             if (part_weights[s] + weight <= bound and tail <= room
-                    and child_cut < best_cut
+                    and child_cut + future < best_cut
                     and (part_masks is None
                          or (part_masks[s] | nq[v]).bit_count() <= lm)):
                 part_of[v] = s
@@ -195,26 +245,34 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                         old_mask = part_masks[s]
                         part_masks[s] = old_mask | nq[v]
                     part_weights[s] += weight
-                    path[depth] = (s, cut_above, room, old_mask)
-                    depth += 1
-                    v, weight, preds, total, tail = plan[depth]
-                    s_min = same = 0
-                    for u, c in preds:
-                        s = part_of[u]
-                        if s > s_min:
-                            s_min, same = s, c
-                        elif s == s_min:
+                    path[depth] = (s, cut_above, future, room, old_mask)
+                    for j, c in pushes:  # v is a successor's j-th predecessor
+                        top = tops[j]
+                        same = sames[j]
+                        if s > top:  # the edges from part top become cut
+                            future += same
+                            top = s
+                            same = c
+                        elif s == top:
                             same += c
+                        else:
+                            future += c
+                        tops[j + 1] = top
+                        sames[j + 1] = same
+                    depth += 1
+                    v, weight, last, total, tail, pushes = plan[depth]
+                    s_min = tops[last]
                     cut_above = child_cut + total  # the cut for any s > s_min
-                    child_cut = cut_above - same
+                    child_cut = cut_above - sames[last]
+                    future -= total - sames[last]  # now counted in child_cut
                     # free room in parts >= s, for each s tried at this depth
                     room = (k - s_min) * bound - sum(part_weights[s_min:])
                     s = s_min
                     continue
         elif depth:  # every part tried: take the vertex above out of its part
             depth -= 1
-            s, cut_above, room, old_mask = path[depth]
-            v, weight, _, _, tail = plan[depth]
+            s, cut_above, future, room, old_mask = path[depth]
+            v, weight, _, _, tail, pushes = plan[depth]
             part_weights[s] -= weight
             if part_masks is not None:
                 part_masks[s] = old_mask

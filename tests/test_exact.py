@@ -125,6 +125,51 @@ def test_bnb_descendant_room_prune_matches_brute():
     assert statuses.count(INFEASIBLE) >= 10 and statuses.count(OPTIMAL) >= 10
 
 
+def _costly_dags(rng):
+    """Seeded random and layered DAGs, n 5-9, with edge costs 1-9, so that
+    the cut still to come from placed predecessors varies from vertex to
+    vertex; n is capped per k to keep the k^n oracle fast."""
+    for idx in range(60):
+        k = 2 + idx % 3
+        n = rng.randint(5, {2: 9, 3: 8, 4: 7}[k])
+        if idx % 2:
+            g = random_dag(rng, n, p=rng.choice([0.3, 0.5]), max_c=9)
+        else:
+            shape = layered_dag(rng, n)
+            g = Dag(shape.w, [(u, v, rng.randint(1, 9)) for u, v, _ in shape.edges])
+        yield g, k
+
+
+def test_bnb_future_cut_bound_matches_brute():
+    # each case is solved cold, warm-started from the chunk partition, and
+    # with random qubit masks (under a looser balance, so that some fit)
+    rng = random.Random(8080)
+    statuses = []
+    nodes = 0
+    for g, k in _costly_dags(rng):
+        nq = tuple(1 << rng.randrange(4) | 1 << rng.randrange(4) for _ in range(g.n))
+        for eps in (0, Fraction(1, 10)):
+            cases = [(eps, {}), (eps + 1, {"nq": nq, "lm": 3})]
+            warm = chunk_partition(g, k, eps)
+            if warm is not None:
+                cases.append((eps, {"warm": warm}))
+            oracle = {}
+            for e, kwargs in cases:
+                if e not in oracle:
+                    oracle[e] = brute_force(g, k, e, nq=kwargs.get("nq"),
+                                            lm=kwargs.get("lm"))
+                a = oracle[e]
+                b = branch_and_bound(g, k, e, **kwargs)
+                assert (b.status, b.cut) == (a.status, a.cut)
+                if b.status == OPTIMAL:
+                    assert validate(g, b.partition, k, e).cut == b.cut
+                statuses.append(b.status)
+                nodes += b.nodes_explored
+    assert statuses.count(INFEASIBLE) >= 10 and statuses.count(OPTIMAL) >= 100
+    # a search that tests only the cut so far explores 43,560 nodes here
+    assert nodes == 34877
+
+
 def test_bnb_warm_start_used():
     g = chain(6)
     warm = Partition((0, 0, 0, 1, 1, 1), 2)
@@ -178,6 +223,23 @@ def test_bnb_time_budget(rng):
     result = branch_and_bound(g, 3, budget=SolveBudget(max_time=0.0))
     assert result.status == STOPPED
     assert result.nodes_explored > 0 and result.nodes_explored % 256 == 0
+    # with a node budget too, the search stops at the nearer of the two
+    for max_nodes, stop in ((300, 256), (100, 101)):
+        result = branch_and_bound(g, 3, budget=SolveBudget(max_nodes=max_nodes,
+                                                            max_time=0))
+        assert (result.status, result.nodes_explored) == (STOPPED, stop)
+
+
+@pytest.mark.parametrize("engine", [brute_force, branch_and_bound])
+def test_bad_qubit_arguments_raise_before_search(engine):
+    g = chain(4)
+    cases = [({"nq": (0b01, 0b11, 0b10, 0b10)}, "without L_m"),
+             ({"lm": 2}, "without NQ masks"),
+             ({"nq": (0b01, 0b11), "lm": 2}, "NQ has 2 masks, graph has 4 vertices"),
+             ({"nq": (0b01,) * 5, "lm": 2}, "NQ has 5 masks, graph has 4 vertices")]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            engine(g, 2, eps=1, **kwargs)
 
 
 def test_qubit_capped_search():
@@ -246,10 +308,10 @@ def _pin_cases(group: str):
 
 
 BNB_PIN_SHA256 = {
-    "plain": "acf7b1afb3719784e7ac12a5355eda0f89b3644605fe7f563465d8690457082c",
-    "warm": "8d2e7f5dd7fad1a74d71436587de40f4fbc0a751e8ba281006098d67851e3a2a",
-    "budget": "270d22ac24b592eeda64de4b80b327a6c4df0de5676caa8ccb6aa97576fe5e55",
-    "qubits": "14c5884033fd755d7fb0224492de426f9f9c1be5810d5def7b10d1f0e5a38739",
+    "plain": "fe18009864b46b97faaddcb423620669ab53089a5dcb5d80874232530e3cbd71",
+    "warm": "36317ff7e1b4b285808cf73504283b0d01338f3d254ac4522b7877fa700c65e6",
+    "budget": "cabdc24f9d6efd830e4952df3e65da3490a8473ddbb5c2f3b0554fc22f3b0594",
+    "qubits": "28e0c6ca0536ce45e2d0147e7e227918852fd4a94add13cf85d6c5903345fd62",
 }
 
 

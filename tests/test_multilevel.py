@@ -542,7 +542,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "a8d943c744861f7c1e902a2bd370792db714a560aab033aac0d36300d83f10fb"
+MULTILEVEL_PIN_SHA256 = "41f36c7393192a8bce55a7e4f55162d0501c611133ea50100c525cef73bce855"
 
 
 def test_multilevel_outputs_pinned():
