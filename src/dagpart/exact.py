@@ -132,13 +132,17 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     a vertex pushes its part to each successor's next slot: a vertex owns
     one slot per predecessor plus one, and its j-th predecessor always
     writes slot j + 1 from slot j, so stepping back undoes nothing, and
-    s_min and `same` are read from the vertex's last slot.
+    s_min and `same` are read from the vertex's last slot.  The pushes also
+    add the edges that the child makes certainly cut to `future`, and the
+    search descends below the child only when its cut plus that updated
+    bound is still below the incumbent's; otherwise it goes on to the next
+    part without counting the next vertex's children.
 
     A vertex in part s forces all of its descendants, none of them assigned
     yet, into parts >= s.  A child is therefore tried only when the vertex
     and its descendants together fit in the free room of parts s..k-1; the
     room of parts >= s_min is summed once per vertex and lowered by one
-    part's free room per child.  Both checks cut only subtrees that hold no
+    part's free room per child.  These checks cut only subtrees that hold no
     leaf both feasible and below the incumbent, so they change the node
     counts but not the result of a search without a budget.
 
@@ -240,35 +244,38 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                     best_cut = child_cut
                     best_assignment = tuple(part_of)
                 else:
-                    old_mask = None
-                    if part_masks is not None:
-                        old_mask = part_masks[s]
-                        part_masks[s] = old_mask | nq[v]
-                    part_weights[s] += weight
-                    path[depth] = (s, cut_above, future, room, old_mask)
+                    below = future
                     for j, c in pushes:  # v is a successor's j-th predecessor
                         top = tops[j]
                         same = sames[j]
                         if s > top:  # the edges from part top become cut
-                            future += same
+                            below += same
                             top = s
                             same = c
                         elif s == top:
                             same += c
                         else:
-                            future += c
+                            below += c
                         tops[j + 1] = top
                         sames[j + 1] = same
-                    depth += 1
-                    v, weight, last, total, tail, pushes = plan[depth]
-                    s_min = tops[last]
-                    cut_above = child_cut + total  # the cut for any s > s_min
-                    child_cut = cut_above - sames[last]
-                    future -= total - sames[last]  # now counted in child_cut
-                    # free room in parts >= s, for each s tried at this depth
-                    room = (k - s_min) * bound - sum(part_weights[s_min:])
-                    s = s_min
-                    continue
+                    # every leaf below costs at least child_cut + below
+                    if child_cut + below < best_cut:
+                        old_mask = None
+                        if part_masks is not None:
+                            old_mask = part_masks[s]
+                            part_masks[s] = old_mask | nq[v]
+                        part_weights[s] += weight
+                        path[depth] = (s, cut_above, future, room, old_mask)
+                        depth += 1
+                        v, weight, last, total, tail, pushes = plan[depth]
+                        s_min = tops[last]
+                        cut_above = child_cut + total  # the cut for any s > s_min
+                        child_cut = cut_above - sames[last]
+                        future = below - (total - sames[last])  # now in child_cut
+                        # free room in parts >= s, for each s tried at this depth
+                        room = (k - s_min) * bound - sum(part_weights[s_min:])
+                        s = s_min
+                        continue
         elif depth:  # every part tried: take the vertex above out of its part
             depth -= 1
             s, cut_above, future, room, old_mask = path[depth]
