@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .dag import Dag, part_order
@@ -110,14 +111,46 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveR
     return SolveResult(OPTIMAL, Partition(best_assignment, k), best_cut, nodes)
 
 
+def search_order(g: Dag) -> list[int]:
+    """The order in which `branch_and_bound` places the vertices of g.
+
+    Kahn's algorithm: among the vertices whose predecessors are all placed,
+    take the one with the largest total in-edge cost, then the largest total
+    out-edge cost, then the smallest position in g's topological order.
+    """
+    cost_in = [0] * g.n
+    cost_out = [0] * g.n
+    for u, v, c in g.edges:
+        cost_out[u] += c
+        cost_in[v] += c
+    position = g.topo.position
+    waiting = [len(p) for p in g.pred]  # predecessors not yet placed
+    ready = [(-cost_in[v], -cost_out[v], position[v], v)
+             for v in range(g.n) if not waiting[v]]
+    heapify(ready)
+    order = []
+    while ready:
+        v = heappop(ready)[3]
+        order.append(v)
+        for u in g.succ[v]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heappush(ready, (-cost_in[u], -cost_out[u], position[u], u))
+    return order
+
+
 def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                      budget: SolveBudget | None = None, nq=None,
                      lm: int | None = None) -> SolveResult:
     """Exact search over part assignments restricted by the topological rule.
 
-    Vertices are assigned in the deterministic topological order; a vertex
-    may only take a part index at least s_min, the maximum index among its
-    predecessors, tried in increasing order.  Every acyclic partition admits
+    Vertices are assigned in `search_order`: a topological order that, of
+    the vertices whose predecessors are all placed, takes the one with the
+    largest in-edge cost first, then the largest out-edge cost, then the
+    first in g's topological order, so that heavy edges are settled, and the
+    bound below rises, near the root.  A vertex may only take a part index
+    at least s_min, the maximum index among its predecessors, tried in
+    increasing order.  Every acyclic partition admits
     a topologically sorted part numbering, so the restriction loses no
     optimum while collapsing part-relabeling symmetry.  Because every
     predecessor sits in a part <= s_min, a child's cut grows by the total
@@ -181,13 +214,13 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
 
     # Vertex u owns indeg(u) + 1 slots of `tops` and `sames`; its slot j
     # holds (highest part, cost from that part) over its first j
-    # predecessors in topological order.  One entry per depth: (vertex,
+    # predecessors in search order.  One entry per depth: (vertex,
     # weight, its last slot, total predecessor cost, weight of the vertex
     # and its descendants, ((slot j of a successor, edge cost), ...)), where
     # the vertex is that successor's j-th predecessor.
     cost = g.cost
     descendant_masks = g.descendant_masks
-    order = g.topo.order
+    order = search_order(g)
     filled = [0] * g.n  # the slot that a vertex's next predecessor reads
     slots = 0
     for v in order:

@@ -17,6 +17,7 @@ from dagpart import (
     validate,
 )
 from dagpart.errors import InvalidKError, InvalidWarmStartError, TooLargeError
+from dagpart.exact import search_order
 
 from conftest import chain, chunk_partition, diamond, layered_dag, random_dag
 
@@ -80,6 +81,27 @@ def test_invalid_k():
         brute_force(chain(2), 0)
     with pytest.raises(InvalidKError):
         branch_and_bound(chain(2), 0)
+
+
+def test_search_order_is_topological():
+    rng = random.Random(3131)
+    for idx in range(50):
+        n = rng.randint(1, 30)
+        g = random_dag(rng, n, p=0.3, max_c=9) if idx % 2 else layered_dag(rng, n)
+        order = search_order(g)
+        assert sorted(order) == list(range(n))
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[u] < position[v] for u, v, _ in g.edges)
+
+
+def test_search_order_tie_breaks():
+    g = Dag([1] * 5, [(0, 3, 1), (1, 4, 2), (2, 4, 2)])
+    # 0, 1 and 2 are ready, with no in-edge cost: 0 has the smallest
+    # out-edge cost, and 1 comes before 2, whose costs equal its own, in
+    # topological order.  2 then beats 0 on out-edge cost, and 4, now
+    # ready, beats 0 on in-edge cost.
+    assert search_order(g) == [1, 2, 4, 0, 3]
+    assert g.topo.order == (0, 1, 2, 3, 4)
 
 
 def test_bnb_matches_brute_on_random(rng):
@@ -167,8 +189,9 @@ def test_bnb_future_cut_bound_matches_brute():
                 nodes += b.nodes_explored
     assert statuses.count(INFEASIBLE) >= 10 and statuses.count(OPTIMAL) >= 100
     # a search that tests only the cut so far explores 43,560 nodes here, one
-    # that bounds the cut still to come only per child 34,877
-    assert nodes == 29187
+    # that bounds the cut still to come only per child 34,877, and one that
+    # also tests it before each descent, in topological order, 29,187
+    assert nodes == 25438
 
 
 def test_bnb_warm_start_used():
@@ -309,10 +332,10 @@ def _pin_cases(group: str):
 
 
 BNB_PIN_SHA256 = {
-    "plain": "1ad9c5cc7c2daa4a4eb5293467d1f8353a6640b5c994c80569a62668e24a26ba",
-    "warm": "cfc4083d594757a28f2c6a362f63d8525e7e433a9de5f2403752cf19fd31bf28",
-    "budget": "45c0b5e325ae26c3e7a2e5af1588381cb2448af2df272f0e31d574b138d9d82e",
-    "qubits": "f3dab2a9bdce49047f660ef44e638df8ba89e07eb1c3637e265c4c86b374e9df",
+    "plain": "ceeb98425a195ca5e4a36d809cf2716a98a914a3fa9433c31b4a9c32a9fb3718",
+    "warm": "c25d54f949227d67fe5d60328e64b7a1d81b27184c2bf0aa2b6fd149b4e38add",
+    "budget": "18d0e0a03ad1be87ec6b3ea3ecc161b4e7f1d0329e978240ed5e6fcddc196432",
+    "qubits": "eb8e55e03c7936c0a8207c1ecba7b6dfbb440e2bd7b9d27334e7d6accb0660d2",
 }
 
 
@@ -340,11 +363,12 @@ def test_bnb_outputs_pinned(group):
     assert digest == BNB_PIN_SHA256[group]
 
 
-# sha256 over (status, cut, assignment) alone: the descendant-room prune cut
-# node counts, but an unbudgeted search must return what it did before it.
+# sha256 over (status, cut, assignment) alone: a prune changes node counts,
+# but an unbudgeted search must return what it did before it.  Only a change
+# of search order may return another of several equal optima.
 BNB_UNBUDGETED_SHA256 = {
-    "plain": "4802bec220af735fdd08574a68229b4202886c1c4da43acd40a64fc08e41edd6",
-    "warm": "c9c9355f8ef3538cfaa2df0dd4135994a6652ffb01e6dbb779de852dbaa69e8f",
+    "plain": "41b9de8b00b5782baa2ce6bcd8032ae2e98c238d90cf51ffa887e5a0dda70738",
+    "warm": "f32a2dd2a92004ad0984aa433a8f9cd1891fe848ad614fe32e5898f35ab36019",
 }
 
 

@@ -542,7 +542,7 @@ def _multilevel_pin_cases():
                 yield g, k
 
 
-MULTILEVEL_PIN_SHA256 = "41f36c7393192a8bce55a7e4f55162d0501c611133ea50100c525cef73bce855"
+MULTILEVEL_PIN_SHA256 = "2ff44675ce05bb1609cc8b998eeca8c5479a9ca42743026247fed527db7cd023"
 
 
 def test_multilevel_outputs_pinned():
