@@ -150,9 +150,11 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     first in g's topological order, so that heavy edges are settled, and the
     bound below rises, near the root.  A vertex may only take a part index
     at least s_min, the maximum index among its predecessors, tried in
-    increasing order.  Every acyclic partition admits
-    a topologically sorted part numbering, so the restriction loses no
-    optimum while collapsing part-relabeling symmetry.  Because every
+    increasing order up to min(k, n) - 1; the balance bound still comes
+    from k.  Every acyclic partition admits a topologically sorted part
+    numbering, with its at most n non-empty parts first, so the
+    restriction loses no optimum while collapsing part-relabeling symmetry,
+    and k > n costs no more than k = n.  Because every
     predecessor sits in a part <= s_min, a child's cut grows by the total
     predecessor cost minus `same`, the cost from part s_min, when s == s_min,
     and by the whole total when s > s_min, so each child costs O(1).
@@ -173,7 +175,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
 
     A vertex in part s forces all of its descendants, none of them assigned
     yet, into parts >= s.  A child is therefore tried only when the vertex
-    and its descendants together fit in the free room of parts s..k-1; the
+    and its descendants together fit in the free room of parts >= s; the
     room of parts >= s_min is summed once per vertex and lowered by one
     part's free room per child.  These checks cut only subtrees that hold no
     leaf both feasible and below the incumbent, so they change the node
@@ -243,8 +245,9 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     tops = [0] * slots
     sames = [0] * slots
     part_of = [-1] * n
-    part_weights = [0] * k
-    part_masks = [0] * k if nq is not None else None
+    parts = min(k, n)  # the parts that can be non-empty
+    part_weights = [0] * parts
+    part_masks = [0] * parts if nq is not None else None
     limit = budget.max_nodes if budget.max_nodes is not None else math.inf
     deadline = (time.monotonic() + budget.max_time
                 if budget.max_time is not None else None)
@@ -258,10 +261,10 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     # before it).  The root vertex has no predecessors: s_min is 0 and every part is free.
     path = [None] * n
     nodes = depth = s = cut_above = child_cut = future = 0
-    room = k * bound
+    room = parts * bound
     v, weight, _, _, tail, pushes = plan[0]
     while True:
-        if s < k:
+        if s < parts:
             nodes += 1
             if nodes >= check:
                 if nodes > limit or monotonic() > deadline:
@@ -306,7 +309,7 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
                         child_cut = cut_above - sames[last]
                         future = below - (total - sames[last])  # now in child_cut
                         # free room in parts >= s, for each s tried at this depth
-                        room = (k - s_min) * bound - sum(part_weights[s_min:])
+                        room = (parts - s_min) * bound - sum(part_weights[s_min:])
                         s = s_min
                         continue
         elif depth:  # every part tried: take the vertex above out of its part

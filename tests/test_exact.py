@@ -104,6 +104,38 @@ def test_search_order_tie_breaks():
     assert g.topo.order == (0, 1, 2, 3, 4)
 
 
+def test_bnb_more_parts_than_vertices():
+    # at most n parts can be non-empty, so k = 1,000 searches only the
+    # first 4 parts, as k = 4 does (B is 1 in both cases)
+    g = diamond()
+    small = branch_and_bound(g, 4)
+    large = branch_and_bound(g, 1000)
+    assert (large.status, large.cut) == (OPTIMAL, 4)
+    assert large.nodes_explored == small.nodes_explored
+    assert large.partition.k == 1000
+    assert validate(g, large.partition, 1000, 0).cut == 4
+
+
+def test_bnb_more_parts_than_vertices_matches_brute():
+    # k from n + 1 to n + 3; at n = 6 only k = 7, since the oracle's 9^6
+    # assignments alone take about a second
+    rng = random.Random(6464)
+    statuses = []
+    for idx in range(30):
+        n = 2 + idx % 5
+        g = random_dag(rng, n, p=0.5) if idx % 2 else layered_dag(rng, n)
+        for k in range(n + 1, n + 4 if n < 6 else n + 2):
+            eps = rng.choice([0, Fraction(1, 2), 1])
+            a = brute_force(g, k, eps)
+            b = branch_and_bound(g, k, eps)
+            assert (b.status, b.cut) == (a.status, a.cut)
+            if b.status == OPTIMAL:
+                assert b.partition.k == k
+                assert validate(g, b.partition, k, eps).cut == b.cut
+            statuses.append(b.status)
+    assert statuses.count(INFEASIBLE) >= 10 and statuses.count(OPTIMAL) >= 10
+
+
 def test_bnb_matches_brute_on_random(rng):
     for _ in range(60):
         g = random_dag(rng, rng.randint(2, 7))
