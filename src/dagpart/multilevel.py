@@ -122,7 +122,9 @@ def coarsen(g: Dag, target_n: int,
     was merged into, along with its weight, its successor costs, its
     predecessors and its place in a topological order.  Moving v's edges
     to u visits only v's neighbours, but a merge still costs O(n), since it
-    rewrites the positions after u and the level-above mapping.  Sorting
+    rewrites the positions after u.  A merge only records that v went into
+    u; each vertex of the level above follows these links to its cluster
+    once, when the level is recorded.  Sorting
     the clusters by id numbers them as a rebuilt graph would, since merging
     v into u keeps the relative order of the other ids.  A level is
     recorded once it spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR)
@@ -137,10 +139,17 @@ def coarsen(g: Dag, target_n: int,
     pred = [set(g.pred[b]) for b in range(g.n)]
     order = list(g.topo.order)
     position = list(g.topo.position)
-    above = list(range(g.n))  # cluster of each vertex of the level above
+    above = list(range(g.n))  # the vertices of the level above
+    into = list(range(g.n))  # the vertex each merged vertex went into
     levels: list[CoarseningLevel] = []
     heap = [(-cost, a, b) for a, b, cost in g.edges]
     heapify(heap)
+
+    def cluster(c: int) -> int:
+        while into[c] != c:
+            into[c] = into[into[c]]  # path halving
+            c = into[c]
+        return c
 
     def record() -> None:
         ids = sorted(order)
@@ -149,7 +158,7 @@ def coarsen(g: Dag, target_n: int,
             tuple(weight[c] for c in ids),
             tuple(sorted((index[a], index[b], cost)
                          for a in ids for b, cost in succ[a].items())),
-            tuple(index[c] for c in above)))
+            tuple(index[cluster(c)] for c in above)))
         above[:] = ids
 
     while len(order) > target_n:
@@ -186,7 +195,7 @@ def coarsen(g: Dag, target_n: int,
                                  + [a for a in window if a in reached])
         for pos in range(first, len(order)):
             position[order[pos]] = pos
-        above[:] = [u if c == v else c for c in above]
+        into[v] = u
         # each step removes one vertex
         if len(above) - len(order) == max(CONTRACTIONS_PER_LEVEL,
                                           len(above) // LEVEL_DIVISOR):
