@@ -152,12 +152,12 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
     at least s_min, the maximum index among its predecessors, tried in
     increasing order up to min(k, n) - 1; the balance bound still comes
     from k.  Every acyclic partition admits a topologically sorted part
-    numbering, with its at most n non-empty parts first, so the
-    restriction loses no optimum while collapsing part-relabeling symmetry,
-    and k > n costs no more than k = n.  Because every
-    predecessor sits in a part <= s_min, a child's cut grows by the total
-    predecessor cost minus `same`, the cost from part s_min, when s == s_min,
-    and by the whole total when s > s_min, so each child costs O(1).
+    numbering, with its at most n non-empty parts first, so the restriction
+    loses no optimum while collapsing part-relabeling symmetry, and k > n
+    costs no more than k = n.  Because every predecessor sits in a part
+    <= s_min, a child's cut grows by the total predecessor cost minus
+    `same`, the cost from part s_min, when s == s_min, and by the whole
+    total when s > s_min, so each child costs O(1).
 
     Each vertex keeps, over its placed predecessors, their highest part and
     the cost from that part.  Every other edge from them is cut in any

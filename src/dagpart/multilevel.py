@@ -124,13 +124,13 @@ def coarsen(g: Dag, target_n: int,
     to u visits only v's neighbours, but a merge still costs O(n), since it
     rewrites the positions after u.  A merge only records that v went into
     u; each vertex of the level above follows these links to its cluster
-    once, when the level is recorded.  Sorting
-    the clusters by id numbers them as a rebuilt graph would, since merging
-    v into u keeps the relative order of the other ids.  A level is
-    recorded once it spans max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR)
-    steps, n being the vertex count of the level above, and once more for a
-    shorter tail, as the clusters' weights and their renumbered, sorted
-    edges; no `Dag` is built here (see `CoarseningLevel.graph`).
+    once, when the level is recorded.  Sorting the clusters by id numbers
+    them as a rebuilt graph would, since merging v into u keeps the relative
+    order of the other ids.  A level is recorded once it spans
+    max(CONTRACTIONS_PER_LEVEL, n // LEVEL_DIVISOR) steps, n being the
+    vertex count of the level above, and once more for a shorter tail, as
+    the clusters' weights and their renumbered, sorted edges; no `Dag` is
+    built here (see `CoarseningLevel.graph`).
     A level's mapping sends each vertex of the level above to its cluster.
     """
     _check_target_n(target_n)
