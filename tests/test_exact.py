@@ -96,10 +96,10 @@ def test_search_order_is_topological():
 
 def test_search_order_tie_breaks():
     g = Dag([1] * 5, [(0, 3, 1), (1, 4, 2), (2, 4, 2)])
-    # 0, 1 and 2 are ready, with no in-edge cost: 0 has the smallest
-    # out-edge cost, and 1 comes before 2, whose costs equal its own, in
-    # topological order.  2 then beats 0 on out-edge cost, and 4, now
-    # ready, beats 0 on in-edge cost.
+    # 0, 1 and 2 are ready first, none with an in-edge cost: 0 loses on
+    # out-edge cost (1 against 2), and 1 beats 2, whose costs equal its own,
+    # on topological position.  2 then beats 0 on out-edge cost, and 4, now
+    # ready, beats 0 on in-edge cost (4 against 0).
     assert search_order(g) == [1, 2, 4, 0, 3]
     assert g.topo.order == (0, 1, 2, 3, 4)
 
