@@ -302,6 +302,34 @@ def test_unknown_name_rejected_at_any_position(terms):
     assert m.constraints == [] and m.objective_terms == ()
 
 
+def _raises_exactly(cls, message, add_row):
+    with pytest.raises(cls) as excinfo:
+        add_row()
+    assert excinfo.type is cls and str(excinfo.value) == message
+
+
+def test_row_errors_keep_their_class_message_and_order():
+    # the names are checked before any coefficient, also in rows whose other
+    # pairs are already stored; a failed row adds nothing
+    m = _two_vars()
+    m.add_constraint("ok", [(1, "a"), (2, "b")], "<=", 1)
+    m.set_objective("min", [(1, "a")])
+    nan, inf = float("nan"), float("inf")
+    for terms in ([(nan, "a"), (1, "zz")], [(1, "a"), (nan, "zz")],
+                  [(1, "a"), (2, "b"), (inf, "a"), (1, "zz")]):
+        _raises_exactly(ValueError, "constraint 'c' references unknown variable 'zz'",
+                        lambda: m.add_constraint("c", terms, "<=", 1))
+        _raises_exactly(ValueError, "objective references unknown variable 'zz'",
+                        lambda: m.set_objective("max", terms))
+    for terms in ([(1, "a"), (nan, "b")], [(inf, "a"), (2, "b")]):
+        _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in c",
+                        lambda: m.add_constraint("c", terms, "<=", 1))
+        _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in objective",
+                        lambda: m.set_objective("max", terms))
+    assert [con.name for con in m.constraints] == ["ok"]
+    assert m.objective_terms == ((1, "a"),) and m.objective_sense == "min"
+
+
 def test_terms_stored_as_tuple_of_pairs():
     m = _two_vars()
     m.add_constraint("gen", ((c, n) for c, n in [(1, "a"), (-1, "b")]), "<=", 0)
