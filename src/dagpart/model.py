@@ -4,15 +4,17 @@ All arithmetic is exact and involves no floats.  Bounds and coefficients
 are normalised once, when a variable, a constraint or the objective is
 added, and values once, when a solution is read or evaluated: a number
 that is integral is kept as a plain int, any other as a `Fraction` (a
-float becomes the `Fraction` of its exact binary value).  Terms whose
-coefficients are all ints, as every builder emits them, are stored as
-given, one tuple of the caller's `(coef, name)` pairs; rows are immutable
-named tuples.  int and `Fraction` arithmetic mix without rounding, so
-`evaluate` checks constraints exactly after integrality rounding.
+float becomes the `Fraction` of its exact binary value).  A model stores
+each distinct `(coef, name)` pair once: the first equal pair it checks is
+kept and reused by every later row and the objective, so rows are immutable
+named tuples of shared pairs.  int and `Fraction` arithmetic mix without
+rounding, so `evaluate` checks constraints exactly after integrality
+rounding.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +92,7 @@ class LinearModel:
         self.variables: list[Variable] = []
         self._index: dict[str, Variable] = {}
         self.constraints: list[Constraint] = []
+        self._shared: dict[tuple, tuple] = {}  # every checked pair, to itself
         self.objective_sense = MINIMIZE
         self.objective_terms: tuple = ()
         self.meta: dict = {}
@@ -120,12 +123,24 @@ class LinearModel:
         return name in self._index
 
     def _checked_terms(self, terms, row: str | None) -> tuple:
+        """The terms as a tuple of the model's shared `(coef, name)` pairs.
+        A row whose pairs are all equal to pairs checked before maps to
+        those; any other row goes through `_check_terms`, and the pairs it
+        returns are shared from then on.  `row` is the constraint's name, or
+        None for the objective."""
+        terms = tuple(terms)
+        shared = self._shared
+        try:
+            return tuple(map(shared.__getitem__, terms))
+        except (KeyError, TypeError):  # a new pair, or an unhashable one
+            checked = self._check_terms(terms, row)
+        return tuple(map(shared.setdefault, checked, checked))
+
+    def _check_terms(self, terms: tuple, row: str | None) -> tuple:
         """The terms as a tuple of `(coef, name)` pairs, in one pass that
         checks every name.  If every pair is a tuple with an int coefficient
         the pairs are kept as given; otherwise every coefficient is
-        normalised by `_exact`.  `row` is the constraint's name, or None for
-        the objective."""
-        terms = tuple(terms)
+        normalised by `_exact`."""
         index = self._index
         as_given = True
         for pair in terms:
@@ -174,32 +189,34 @@ def _fmt_terms(terms) -> str:
 
 def write_lp(m: LinearModel) -> str:
     """Emit the model as deterministic CPLEX-LP-format text."""
-    lines = [f"\\ Problem: {m.name}"]
-    lines.append("Maximize" if m.objective_sense == MAXIMIZE else "Minimize")
-    lines.append(f" obj: {_fmt_terms(m.objective_terms)}".rstrip())
-    lines.append("Subject To")
+    out = io.StringIO()
+    write = out.write
+    write(f"\\ Problem: {m.name}\n")
+    write("Maximize\n" if m.objective_sense == MAXIMIZE else "Minimize\n")
+    write(f" obj: {_fmt_terms(m.objective_terms)}".rstrip() + "\n")
+    write("Subject To\n")
     for con in m.constraints:
-        lines.append(f" {con.name}: {_fmt_terms(con.terms)} {con.sense} "
-                     f"{_fmt_num(con.rhs)}")
+        write(f" {con.name}: {_fmt_terms(con.terms)} {con.sense} "
+              f"{_fmt_num(con.rhs)}\n")
     bounded = [v for v in m.variables if v.kind in (INTEGER, CONTINUOUS)]
     if bounded:
-        lines.append("Bounds")
+        write("Bounds\n")
         for v in bounded:
             lb = "-inf" if v.lb is None else _fmt_num(v.lb)
             ub = "+inf" if v.ub is None else _fmt_num(v.ub)
-            lines.append(f" {lb} <= {v.name} <= {ub}")
+            write(f" {lb} <= {v.name} <= {ub}\n")
     binaries = [v.name for v in m.variables if v.kind == BINARY]
     if binaries:
-        lines.append("Binaries")
+        write("Binaries\n")
         for start in range(0, len(binaries), 8):
-            lines.append(" " + " ".join(binaries[start:start + 8]))
+            write(" " + " ".join(binaries[start:start + 8]) + "\n")
     generals = [v.name for v in m.variables if v.kind == INTEGER]
     if generals:
-        lines.append("Generals")
+        write("Generals\n")
         for start in range(0, len(generals), 8):
-            lines.append(" " + " ".join(generals[start:start + 8]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+            write(" " + " ".join(generals[start:start + 8]) + "\n")
+    write("End\n")
+    return out.getvalue()
 
 
 def _round_integral(var: Variable, value: Fraction, strict: bool):

@@ -16,9 +16,11 @@ from dagpart import (
     build_undirected,
     brute_force,
     canonical_assignment,
+    circuit_to_dag,
     decode_partition,
     evaluate,
     exhaustive_model_optimum,
+    parse_circuit,
     renumber_topologically,
     validate,
 )
@@ -39,6 +41,7 @@ from conftest import (
     random_dag,
     renumber_by_size,
 )
+from test_lp_hashes import CIRCUIT, GRAPHS as LP_HASH_GRAPHS
 
 
 def _vars_by_prefix(m):
@@ -298,3 +301,25 @@ def test_zflip_probe_rejected(name):
         if evaluate(m, point, early_exit=True).feasible:
             accepted.append((g.edges, p.assignment, (u, v)))
     assert not accepted, f"{len(accepted)} flipped points accepted, e.g. {accepted[0]}"
+
+
+def _assert_equal_pairs_are_one_object(m):
+    pairs = [pair for con in m.constraints for pair in con.terms]
+    pairs += m.objective_terms
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
+
+
+@pytest.mark.parametrize("name", FORMULATION_NAMES)
+def test_models_share_equal_term_pairs(name):
+    for make in LP_HASH_GRAPHS.values():
+        _assert_equal_pairs_are_one_object(
+            build_formulation(name, make(), BuildOptions(k=3, eps=Fraction(1, 10))))
+
+
+@pytest.mark.parametrize("strategy", ["incremental", "bigm"])
+def test_quantum_models_share_equal_term_pairs(strategy):
+    g, nq = circuit_to_dag(parse_circuit(CIRCUIT))
+    for k in (2, 3):
+        _assert_equal_pairs_are_one_object(
+            build_quantum(g, BuildOptions(k=k, eps=Fraction(1, 2)), nq, lm=3,
+                          strategy=strategy))

@@ -349,6 +349,33 @@ def test_all_integer_terms_keep_the_callers_pairs():
     assert all(stored is given for stored, given in zip(m.constraints[0].terms, pairs))
 
 
+@pytest.mark.parametrize("first, later, stored_type", [
+    (2, 2.0, int), (0.5, Fraction(1, 2), Fraction),
+])
+def test_equal_pairs_resolve_to_the_first_stored(first, later, stored_type):
+    m = _two_vars()
+    m.add_constraint("c1", [(first, "a"), (1, "b")], "<=", 3)
+    m.add_constraint("c2", [(1, "b"), (later, "a")], "<=", 3)
+    m.add_constraint("c3", [[later, "a"], [1, "b"]], "<=", 3)
+    m.set_objective("min", [(later, "a")])
+    (a, b), (b2, a2), (a3, b3) = (con.terms for con in m.constraints)
+    assert a == (first, "a") and type(a[0]) is stored_type
+    assert a2 is a and a3 is a and m.objective_terms[0] is a
+    assert b2 is b and b3 is b
+
+
+def test_failed_rows_share_no_pairs():
+    m = _two_vars()
+    failed = (3, "a")
+    with pytest.raises(UnrepresentableCoefficientError):
+        m.add_constraint("bad", [failed, (float("inf"), "b")], "<=", 1)
+    given = (3, "a")
+    m.add_constraint("c", [given], "<=", 1)
+    m.add_constraint("d", [(3.0, "a")], "<=", 1)
+    assert [con.name for con in m.constraints] == ["c", "d"]
+    assert m.constraints[0].terms[0] is given and m.constraints[1].terms[0] is given
+
+
 @pytest.mark.parametrize("given, stored", [
     (Fraction(4, 2), 2), (2.0, 2), (True, 1), (-0.0, 0),
     (Fraction(1, 2), Fraction(1, 2)), (0.25, Fraction(1, 4)),
