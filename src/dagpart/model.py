@@ -133,7 +133,8 @@ class LinearModel:
         try:
             return tuple(map(shared.__getitem__, terms))
         except (KeyError, TypeError):  # a new pair, or an unhashable one
-            checked = self._check_terms(terms, row)
+            pass
+        checked = self._check_terms(terms, row)
         return tuple(map(shared.setdefault, checked, checked))
 
     def _check_terms(self, terms: tuple, row: str | None) -> tuple:

@@ -306,6 +306,7 @@ def _raises_exactly(cls, message, add_row):
     with pytest.raises(cls) as excinfo:
         add_row()
     assert excinfo.type is cls and str(excinfo.value) == message
+    assert excinfo.value.__context__ is None
 
 
 def test_row_errors_keep_their_class_message_and_order():
