@@ -366,11 +366,11 @@ def test_equal_pairs_resolve_to_the_first_stored(first, later, stored_type):
 
 
 def test_failed_rows_share_no_pairs():
+    # built at run time: equal tuple literals may be one constant object
+    failed, given = tuple([3, "a"]), tuple([3, "a"])
     m = _two_vars()
-    failed = (3, "a")
     with pytest.raises(UnrepresentableCoefficientError):
         m.add_constraint("bad", [failed, (float("inf"), "b")], "<=", 1)
-    given = (3, "a")
     m.add_constraint("c", [given], "<=", 1)
     m.add_constraint("d", [(3.0, "a")], "<=", 1)
     assert [con.name for con in m.constraints] == ["c", "d"]
