@@ -5,38 +5,7 @@ import pytest
 from dagpart import Dag
 from dagpart.formulations import a_prime_value, chained_triples, compute_A
 
-from conftest import chain, diamond, random_dag
-
-
-def test_A_chain():
-    A = compute_A(chain(4))
-    assert A[(0, 1)] == 2
-    assert A[(0, 2)] == 3   # interior vertex 1
-    assert A[(0, 3)] == 4
-    assert (1, 0) not in A
-
-
-def test_A_diamond_counts_both_branches():
-    # both interior branch vertices 1 and 2 lie on some 0->3 path
-    assert compute_A(diamond())[(0, 3)] == 4
-
-
-def test_A_weighted():
-    g = Dag([2, 5, 3], [(0, 1, 1), (1, 2, 1)])
-    assert compute_A(g)[(0, 2)] == 10
-
-
-def test_a_prime_chain():
-    g = chain(4)
-    assert a_prime_value(g, 0, 1, 2) == 3
-    assert a_prime_value(g, 0, 1, 3) == 4
-    assert a_prime_value(g, 0, 2, 3) == 4
-
-
-def test_a_prime_no_double_count():
-    g = diamond()
-    # triple (0, 1, 3): path 0->3 also runs through 2, so 2 is counted once
-    assert a_prime_value(g, 0, 1, 3) == 4
+from conftest import diamond, random_dag
 
 
 def test_triples_table_keys_are_chained():
