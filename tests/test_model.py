@@ -224,6 +224,24 @@ def test_write_lp_formats_fraction_and_float_coefficients():
     assert " c: 0.5 a - 2 b + 2 a <= 0.75\n" in text
 
 
+def test_write_lp_term_edge_cases():
+    # a pair's text does not depend on where it stands in a row, except that
+    # a leading "+ " is dropped
+    m = _two_vars()
+    m.add_constraint("zero", [(1, "a"), (0, "b")], "<=", 1)
+    m.add_constraint("zerofirst", [(0, "b"), (1, "a")], "<=", 1)
+    m.add_constraint("minus", [(1, "a"), (-1, "b")], "<=", 0)
+    m.add_constraint("negfrac", [(Fraction(-1, 2), "a"), (-1, "b")], ">=", -1)
+    m.add_constraint("negfloat", [(-0.5, "b"), (Fraction(-1, 2), "a")], ">=", -1)
+    text = write_lp(m)
+    assert text.startswith("\\ Problem: bad\nMinimize\n obj:\nSubject To\n")
+    assert " zero: a + 0 b <= 1\n" in text
+    assert " zerofirst: 0 b + a <= 1\n" in text
+    assert " minus: a - b <= 0\n" in text
+    assert " negfrac: - 0.5 a - b >= -1\n" in text
+    assert " negfloat: - 0.5 b - 0.5 a >= -1\n" in text
+
+
 # -- unrepresentable coefficients ---------------------------------------------
 
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
