@@ -5,7 +5,9 @@ assignments.
 All builders produce a LinearModel over the shared variable naming scheme
 x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
 for z follow topological position order, so "i before j" always means
-pos[i] < pos[j].
+pos[i] < pos[j].  A builder formats each x, z and y name once, and makes
+each unit term pair on them, such as `(1, x_i_s)` or `(-1, z_i_j)`, once;
+every row that uses a pair passes that one tuple.
 """
 
 from __future__ import annotations
@@ -57,62 +59,76 @@ def _u(s):
     return f"u_{s}"
 
 
-def _add_common(m: LinearModel, g: Dag, k: int, bound: int) -> None:
-    """x variables, one-part-per-vertex, and balance constraints."""
+def _add_common(m: LinearModel, g: Dag, k: int, bound: int):
+    """x variables, one-part-per-vertex, and balance constraints.
+
+    Returns the build's shared unit x pairs: `px[i][s]` is `(1, x_i_s)` and
+    `nx[i][s]` is `(-1, x_i_s)`."""
+    names = [[_x(i, s) for s in range(k)] for i in range(g.n)]
+    for row in names:
+        for name in row:
+            m.add_binary(name)
+    px = [[(1, name) for name in row] for row in names]
+    nx = [[(-1, name) for name in row] for row in names]
     for i in range(g.n):
-        for s in range(k):
-            m.add_binary(_x(i, s))
-    for i in range(g.n):
-        m.add_constraint(f"onepart_{i}", [(1, _x(i, s)) for s in range(k)], "=", 1)
+        m.add_constraint(f"onepart_{i}", px[i], "=", 1)
     for s in range(k):
         m.add_constraint(f"balance_{s}",
-                         [(g.w[i], _x(i, s)) for i in range(g.n)], "<=", bound)
+                         [(g.w[i], names[i][s]) for i in range(g.n)], "<=", bound)
+    return px, nx
 
 
-def _add_z(m: LinearModel, i, j, relax_z: bool) -> str:
-    name = _z(i, j)
-    if relax_z:
-        m.add_continuous(name, 0, 1)
-    else:
+def _add_zs(m: LinearModel, zpairs, relax_z: bool) -> dict:
+    """A z variable for every pair, in the given order; returns each pair's
+    name."""
+    names = {}
+    for i, j in zpairs:
+        name = names[i, j] = _z(i, j)
+        if relax_z:
+            m.add_continuous(name, 0, 1)
+        else:
+            m.add_binary(name)
+    return names
+
+
+def _with_coef(coef, names: dict) -> dict:
+    """The shared pair `(coef, name)` for every name of a table."""
+    return {key: (coef, name) for key, name in names.items()}
+
+
+def _add_y(m: LinearModel, k: int) -> dict:
+    """Binary y_s_t for every ordered pair of distinct parts; returns each
+    pair's name."""
+    names = {(s, t): _y(s, t) for s in range(k) for t in range(k) if s != t}
+    for name in names.values():
         m.add_binary(name)
-    return name
+    return names
 
 
-def _add_y(m: LinearModel, k: int) -> None:
-    """Binary y_s_t for every ordered pair of distinct parts."""
-    for s in range(k):
-        for t in range(k):
-            if s != t:
-                m.add_binary(_y(s, t))
-
-
-def _add_induced(m: LinearModel, g: Dag, k: int) -> None:
+def _add_induced(m: LinearModel, g: Dag, px, y: dict) -> None:
     """An edge from part s to part t forces y_s_t = 1."""
+    parts = [(s, t, f"{s}_{t}", pair) for (s, t), pair in _with_coef(-1, y).items()]
     for u, v, _ in g.edges:
-        for s in range(k):
-            for t in range(k):
-                if s != t:
-                    m.add_constraint(f"induced_{u}_{v}_{s}_{t}",
-                                     [(1, _x(u, s)), (1, _x(v, t)), (-1, _y(s, t))],
-                                     "<=", 1)
+        head, xu, xv = f"induced_{u}_{v}_", px[u], px[v]
+        for s, t, tail, ny in parts:
+            m.add_constraint(head + tail, (xu[s], xv[t], ny), "<=", 1)
 
 
-def _add_same_part(m: LinearModel, prefix: str, zpairs, k: int) -> None:
+def _add_same_part(m: LinearModel, prefix: str, pz: dict, px, nx) -> None:
     """Same-part z rows: z = 1 claims i and j share a part; without these rows
     nothing pins z to 0 on a cut edge, and a solver could claim a false cut."""
-    for i, j in zpairs:
-        for s in range(k):
-            m.add_constraint(f"{prefix}_{i}_{j}_{s}",
-                             [(1, _z(i, j)), (1, _x(i, s)), (-1, _x(j, s))],
-                             "<=", 1)
+    for (i, j), zij in pz.items():
+        head = f"{prefix}_{i}_{j}_"
+        for s, (xis, xjs) in enumerate(zip(px[i], nx[j])):
+            m.add_constraint(f"{head}{s}", (zij, xis, xjs), "<=", 1)
 
 
 def _finish(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
-            bound: int, convention: str) -> None:
+            bound: int, convention: str, z: dict) -> None:
     """The edge objective, minimised under MIN_CUT and maximised under
     MAX_INTERNAL, and the meta that decoding reads."""
     sense = MAXIMIZE if convention == MAX_INTERNAL else MINIMIZE
-    m.set_objective(sense, [(c, _z(u, v)) for u, v, c in g.edges])
+    m.set_objective(sense, [(c, z[u, v]) for u, v, c in g.edges])
     m.meta.update({
         "kind": kind,
         "n": g.n,
@@ -144,7 +160,11 @@ def chained_triples(g: Dag):
 def compute_A(g: Dag) -> dict[tuple[int, int], int]:
     """Path-weight table of the Albareda models: A[(i, j)] for every pair
     with i->j reachable is w_i + w_j plus the weight of every vertex on some
-    i->j path."""
+    i->j path.
+
+    On a chained triple (i reaches j, j reaches l), A(i, l) >= max(A(i, j),
+    A(j, l)): every i->j path and every j->l path extends to an i->l path
+    through j, and no weight is negative."""
     table: dict[tuple[int, int], int] = {}
     for i, desc in enumerate(g.descendant_masks):
         for j in mask_vertices(desc):
@@ -179,19 +199,17 @@ def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("undirected")
-    _add_common(m, g, k, bound)
+    px, nx = _add_common(m, g, k, bound)
+    z = _add_zs(m, [(u, v) for u, v, _ in g.edges], opts.relax_z)
+    nz = _with_coef(-1, z)
     for u, v, _ in g.edges:
-        _add_z(m, u, v, opts.relax_z)
-    for u, v, _ in g.edges:
+        nzuv = nz[u, v]
         for s in range(k):
             # two-sided linearization of z >= |x_us - x_vs|
-            m.add_constraint(f"cut_{u}_{v}_{s}_lo",
-                             [(1, _x(u, s)), (-1, _x(v, s)), (-1, _z(u, v))],
-                             "<=", 0)
-            m.add_constraint(f"cut_{u}_{v}_{s}_hi",
-                             [(1, _x(v, s)), (-1, _x(u, s)), (-1, _z(u, v))],
-                             "<=", 0)
-    _finish(m, "undirected", g, opts, bound, MIN_CUT)
+            head = f"cut_{u}_{v}_{s}"
+            m.add_constraint(head + "_lo", (px[u][s], nx[v][s], nzuv), "<=", 0)
+            m.add_constraint(head + "_hi", (px[v][s], nx[u][s], nzuv), "<=", 0)
+    _finish(m, "undirected", g, opts, bound, MIN_CUT, z)
     return m
 
 
@@ -199,27 +217,29 @@ def build_proposed(g: Dag, opts: BuildOptions) -> LinearModel:
     """Acyclic partitioning via an upper-triangular part adjacency matrix."""
     bound = balance_bound(g, opts.k, opts.eps)
     m = LinearModel("proposed")
-    _proposed_core(m, g, opts.k, bound, opts.relax_z)
-    _finish(m, "proposed", g, opts, bound, MIN_CUT)
+    _, z = _proposed_core(m, g, opts.k, bound, opts.relax_z)
+    _finish(m, "proposed", g, opts, bound, MIN_CUT, z)
     return m
 
 
-def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool) -> None:
-    _add_common(m, g, k, bound)
+def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool):
+    """The rows `proposed` and the quantum models share; returns the unit x
+    pairs and the z names."""
+    px, nx = _add_common(m, g, k, bound)
+    z = _add_zs(m, [(u, v) for u, v, _ in g.edges], relax_z)
+    y = _add_y(m, k)
+    nz = _with_coef(-1, z)
     for u, v, _ in g.edges:
-        _add_z(m, u, v, relax_z)
-    _add_y(m, k)
-    for u, v, _ in g.edges:
+        head, nzuv = f"cutmark_{u}_{v}_", nz[u, v]
         for s in range(k):
             # single-sided cut marking; sufficient at optimality because the
             # y constraints force part(u) <= part(v) along every edge
-            m.add_constraint(f"cutmark_{u}_{v}_{s}",
-                             [(1, _x(v, s)), (-1, _x(u, s)), (-1, _z(u, v))],
-                             "<=", 0)
-    _add_induced(m, g, k)
+            m.add_constraint(f"{head}{s}", (px[v][s], nx[u][s], nzuv), "<=", 0)
+    _add_induced(m, g, px, y)
     for s in range(k):
         for t in range(s):
-            m.add_constraint(f"lowertri_{s}_{t}", [(1, _y(s, t))], "=", 0)
+            m.add_constraint(f"lowertri_{s}_{t}", [(1, y[s, t])], "=", 0)
+    return px, z
 
 
 def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
@@ -227,45 +247,39 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("nossack")
-    _add_common(m, g, k, bound)
+    px, nx = _add_common(m, g, k, bound)
 
     triples = chained_triples(g)
     # z only for pairs the model actually references: edges and chained-triple
     # pairs; unreferenced pairs cannot affect the optimum
-    zpairs = _z_pairs(g, triples)
-    for i, j in zpairs:
-        _add_z(m, i, j, opts.relax_z)
-    _add_y(m, k)
-    for s in range(k):
-        m.add_integer(_pi(s), 0, k - 1)
+    z = _add_zs(m, _z_pairs(g, triples), opts.relax_z)
+    y = _add_y(m, k)
+    pi = [_pi(s) for s in range(k)]
+    for name in pi:
+        m.add_integer(name, 0, k - 1)
 
-    _add_same_part(m, "samepart", zpairs, k)
+    pz, nz, twoz = _with_coef(1, z), _with_coef(-1, z), _with_coef(2, z)
+    _add_same_part(m, "samepart", pz, px, nx)
     for i, j, h in triples:
-        zij, zjh, zih = _z(i, j), _z(j, h), _z(i, h)
-        m.add_constraint(f"tri1_{i}_{j}_{h}",
-                         [(1, zij), (1, zjh), (-1, zih)], "<=", 1)
-        m.add_constraint(f"tri2_{i}_{j}_{h}",
-                         [(1, zij), (-1, zjh), (1, zih)], "<=", 1)
-        m.add_constraint(f"tri3_{i}_{j}_{h}",
-                         [(-1, zij), (1, zjh), (1, zih)], "<=", 1)
-        m.add_constraint(f"tri4_{i}_{j}_{h}", [(1, zih), (-1, zij)], "<=", 0)
-        m.add_constraint(f"tri5_{i}_{j}_{h}",
-                         [(2, zih), (-1, zij), (-1, zjh)], "<=", 0)
-    _add_induced(m, g, k)
+        ij, jh, ih = (i, j), (j, h), (i, h)
+        tail = f"_{i}_{j}_{h}"
+        m.add_constraint("tri1" + tail, (pz[ij], pz[jh], nz[ih]), "<=", 1)
+        m.add_constraint("tri2" + tail, (pz[ij], nz[jh], pz[ih]), "<=", 1)
+        m.add_constraint("tri3" + tail, (nz[ij], pz[jh], pz[ih]), "<=", 1)
+        m.add_constraint("tri4" + tail, (pz[ih], nz[ij]), "<=", 0)
+        m.add_constraint("tri5" + tail, (twoz[ih], nz[ij], nz[jh]), "<=", 0)
+    _add_induced(m, g, px, y)
     # big-M must cover the widest possible pi gap, which is k-1 when k > n
     big_m = max(g.n, k)
-    for s in range(k):
-        for t in range(k):
-            if s != t:
-                m.add_constraint(f"mtz_{s}_{t}",
-                                 [(big_m, _y(s, t)), (-1, _pi(t)), (1, _pi(s))],
-                                 "<=", big_m - 1)
+    for (s, t), name in y.items():
+        m.add_constraint(f"mtz_{s}_{t}", [(big_m, name), (-1, pi[t]), (1, pi[s])],
+                         "<=", big_m - 1)
     for s in range(1, k):
-        terms = [(1, _x(i, s)) for i in range(g.n)]
-        terms += [(-1, _x(i, s - 1)) for i in range(g.n)]
+        terms = [px[i][s] for i in range(g.n)]
+        terms += [nx[i][s - 1] for i in range(g.n)]
         m.add_constraint(f"symmetry_{s}", terms, "<=", 0)
 
-    _finish(m, "nossack", g, opts, bound, MAX_INTERNAL)
+    _finish(m, "nossack", g, opts, bound, MAX_INTERNAL, z)
     return m
 
 
@@ -294,76 +308,63 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
     zpairs = pairs if variant == "final" else _z_pairs(g, triples)
 
     m = LinearModel(f"albareda-{variant}")
-    _add_common(m, g, k, bound)
-    for i, j in zpairs:
-        _add_z(m, i, j, opts.relax_z)
-
-    # one list of unit x terms per vertex; the prefixes below are slices of it
-    x_terms = [[(1, _x(i, t)) for t in range(k)] for i in range(g.n)]
+    px, nx = _add_common(m, g, k, bound)
+    z = _add_zs(m, zpairs, opts.relax_z)
+    pz, nz = _with_coef(1, z), _with_coef(-1, z)
 
     def prefix_lt(i, s):  # sum_{t < s} x_it
-        return x_terms[i][:s]
+        return px[i][:s]
 
     def prefix_ge(i, s):  # sum_{t >= s} x_it
-        return x_terms[i][s:]
+        return px[i][s:]
 
     def prefix_le(i, s):  # sum_{t <= s} x_it
-        return x_terms[i][:s + 1]
+        return px[i][:s + 1]
 
     if variant in ("base", "extended"):
         for i, j in pairs:
-            heavy = a_tab[(i, j)] > bound
+            if a_tab[(i, j)] > bound:
+                head, prefix_j = f"topo2_{i}_{j}_", prefix_le
+            else:
+                head, prefix_j = f"topo1_{i}_{j}_", prefix_lt
             for s in range(k):
-                if heavy:
-                    m.add_constraint(f"topo2_{i}_{j}_{s}",
-                                     prefix_ge(i, s) + prefix_le(j, s), "<=", 1)
-                else:
-                    m.add_constraint(f"topo1_{i}_{j}_{s}",
-                                     prefix_ge(i, s) + prefix_lt(j, s), "<=", 1)
+                m.add_constraint(f"{head}{s}", prefix_ge(i, s) + prefix_j(j, s), "<=", 1)
         # topo3 is generated for every edge, not only heavy pairs as printed:
         # it is what pins z on cut edges, and it is valid regardless of A vs B
         for u, v, _ in g.edges:
+            head, pzuv = f"topo3_{u}_{v}_", [pz[u, v]]
             for s in range(k):
-                m.add_constraint(f"topo3_{u}_{v}_{s}",
-                                 [(1, _z(u, v))] + prefix_lt(u, s) + prefix_ge(v, s),
+                m.add_constraint(f"{head}{s}", pzuv + prefix_lt(u, s) + prefix_ge(v, s),
                                  "<=", 2)
 
     if variant in ("extended", "final"):
-        for i, j in zpairs:
+        for (i, j), zij in pz.items():
             if a_tab[(i, j)] > bound:
-                m.add_constraint(f"fixz_{i}_{j}", [(1, _z(i, j))], "=", 0)
+                m.add_constraint(f"fixz_{i}_{j}", (zij,), "=", 0)
+        # a chained triple has a_il >= max(a_ij, a_jl) (see compute_A), so
+        # xchain1 needs no test of a_ij, and the printed xpair1 (a_jl > bound
+        # >= a_il) and xpair2 (a_ij > bound >= a_il) rows can never be emitted
         for i, j, l in triples:
-            zij, zjl, zil = _z(i, j), _z(j, l), _z(i, l)
-            a_ij, a_jl, a_il = a_tab[(i, j)], a_tab[(j, l)], a_tab[(i, l)]
+            ij, jl, il = (i, j), (j, l), (i, l)
+            a_ij, a_jl, a_il = a_tab[ij], a_tab[jl], a_tab[il]
+            tail = f"_{i}_{j}_{l}"
             if a_ij > bound:
-                m.add_constraint(f"xtri1_{i}_{j}_{l}",
-                                 [(1, zij), (1, zjl), (-1, zil)], "<=", 1)
-                m.add_constraint(f"xtri2_{i}_{j}_{l}",
-                                 [(1, zil), (1, zjl), (-1, zij)], "<=", 1)
-                m.add_constraint(f"xtri3_{i}_{j}_{l}",
-                                 [(1, zij), (1, zil), (-1, zjl)], "<=", 1)
-            if a_ij <= bound and a_il <= bound:
-                m.add_constraint(f"xchain1_{i}_{j}_{l}",
-                                 [(1, zil), (-1, zij)], "<=", 0)
+                m.add_constraint("xtri1" + tail, (pz[ij], pz[jl], nz[il]), "<=", 1)
+                m.add_constraint("xtri2" + tail, (pz[il], pz[jl], nz[ij]), "<=", 1)
+                m.add_constraint("xtri3" + tail, (pz[ij], pz[il], nz[jl]), "<=", 1)
+            if a_il <= bound:
+                m.add_constraint("xchain1" + tail, (pz[il], nz[ij]), "<=", 0)
             if a_ij <= bound and a_jl <= bound:
-                m.add_constraint(f"xchain2_{i}_{j}_{l}",
-                                 [(1, zil), (-1, zjl)], "<=", 0)
-            if a_ij <= bound and a_il <= bound and a_jl > bound:
-                m.add_constraint(f"xpair1_{i}_{j}_{l}",
-                                 [(1, zij), (1, zil)], "<=", 1)
-            if a_il <= bound and a_jl <= bound and a_ij > bound:
-                m.add_constraint(f"xpair2_{i}_{j}_{l}",
-                                 [(1, zil), (1, zjl)], "<=", 1)
-            if a_ij <= bound and a_jl <= bound and a_il > bound:
-                m.add_constraint(f"xpair3_{i}_{j}_{l}",
-                                 [(1, zij), (1, zjl)], "<=", 1)
+                m.add_constraint("xchain2" + tail, (pz[il], nz[jl]), "<=", 0)
+                if a_il > bound:
+                    m.add_constraint("xpair3" + tail, (pz[ij], pz[jl]), "<=", 1)
 
     if variant == "final":
         earlier = [_in_topo_order(g, anc) for anc in g.ancestor_masks]
         later = [_in_topo_order(g, desc) for desc in g.descendant_masks]
         for i in range(g.n):
-            terms = [(g.w[j], _z(j, i)) for j in earlier[i]]
-            terms += [(g.w[j], _z(i, j)) for j in later[i]]
+            terms = [(g.w[j], z[j, i]) for j in earlier[i]]
+            terms += [(g.w[j], z[i, j]) for j in later[i]]
             m.add_constraint(f"weightcap_{i}", terms, "<=", bound - g.w[i])
         for i in range(g.n):
             reach_i = later[i]
@@ -376,19 +377,20 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                         continue
                     if a_prime_value(g, i, j, l) <= bound:
                         continue
+                    head, zs = f"acyc1_{i}_{j}_{l}_", [pz[i, j], pz[i, l]]
                     for s in range(k):
-                        terms = [(1, _z(i, j)), (1, _z(i, l))]
-                        terms += prefix_ge(j, s) + prefix_ge(l, s) + prefix_lt(i, s)
-                        m.add_constraint(f"acyc1_{i}_{j}_{l}_{s}", terms, "<=", 3)
+                        terms = zs + prefix_ge(j, s) + prefix_ge(l, s) + prefix_lt(i, s)
+                        m.add_constraint(f"{head}{s}", terms, "<=", 3)
         # ordering constraints for every reachable pair; z = 1 relaxes them,
         # z fixed to 0 for heavy pairs recovers the strict ordering
         for i, j in pairs:
+            head, nzij = f"acyc2_{i}_{j}_", [nz[i, j]]
             for s in range(k):
-                terms = [(-1, _z(i, j))] + prefix_ge(i, s) + prefix_le(j, s)
-                m.add_constraint(f"acyc2_{i}_{j}_{s}", terms, "<=", 1)
-        _add_same_part(m, "zlink", zpairs, k)
+                terms = nzij + prefix_ge(i, s) + prefix_le(j, s)
+                m.add_constraint(f"{head}{s}", terms, "<=", 1)
+        _add_same_part(m, "zlink", pz, px, nx)
 
-    _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL)
+    _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL, z)
     return m
 
 
@@ -416,8 +418,8 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
             raise QubitCapacityInfeasibleError(
                 f"vertex {i} touches more than L_m={lm} qubits")
     m = LinearModel(f"quantum-{strategy}")
-    _proposed_core(m, g, k, bound, opts.relax_z)
-    _finish(m, "quantum", g, opts, bound, MIN_CUT)
+    px, z = _proposed_core(m, g, k, bound, opts.relax_z)
+    _finish(m, "quantum", g, opts, bound, MIN_CUT, z)
     for s in range(k):
         for q in range(n_qubits):
             m.add_binary(_pq(s, q))
@@ -425,7 +427,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
         for q in mask_vertices(nq[i]):
             for s in range(k):
                 m.add_constraint(f"qubit_{i}_{q}_{s}",
-                                 [(1, _x(i, s)), (-1, _pq(s, q))], "<=", 0)
+                                 [px[i][s], (-1, _pq(s, q))], "<=", 0)
     for s in range(k):
         m.add_constraint(f"capacity_{s}",
                          [(1, _pq(s, q)) for q in range(n_qubits)], "<=", lm)
@@ -435,8 +437,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
             m.add_binary(_u(s))
         for i in range(g.n):
             for s in range(k):
-                m.add_constraint(f"used_{i}_{s}",
-                                 [(1, _x(i, s)), (-1, _u(s))], "<=", 0)
+                m.add_constraint(f"used_{i}_{s}", [px[i][s], (-1, _u(s))], "<=", 0)
         # the part-used penalties come before the edge objective _finish set
         terms = [(big_m, _u(s)) for s in range(k)]
         m.set_objective(MINIMIZE, terms + list(m.objective_terms))

@@ -10,14 +10,19 @@ kept and reused by every later row and the objective, so rows are immutable
 named tuples of shared pairs.  int and `Fraction` arithmetic mix without
 rounding, so `evaluate` checks constraints exactly after integrality
 rounding.
+
+`write_lp` formats the text of each stored pair once per call and builds
+each row from that text.  It joins the lines in blocks of a few thousand as
+they are made, so its peak memory is the finished blocks, one block of line
+strings and the final text, about twice the text itself.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -175,49 +180,57 @@ def _fmt_num(value) -> str:
     return str(value) if type(value) is int else repr(float(value))
 
 
-def _fmt_terms(terms) -> str:
-    """Signed terms; coefficients are already ints or Fractions."""
-    pieces = []
-    for coef, name in terms:
-        if coef < 0:
-            sign, coef = "- ", -coef
-        else:
-            sign = "+ "
-        pieces.append(sign + name if coef == 1 else f"{sign}{_fmt_num(coef)} {name}")
-    text = " ".join(pieces)
-    return text[2:] if text.startswith("+ ") else text
+def _pair_text(coef, name) -> str:
+    """One term: "+ name", "- name", or a signed coefficient and the name."""
+    sign = "- " if coef < 0 else "+ "
+    coef = abs(coef)
+    return sign + name if coef == 1 else f"{sign}{_fmt_num(coef)} {name}"
 
 
-def write_lp(m: LinearModel) -> str:
-    """Emit the model as deterministic CPLEX-LP-format text."""
-    out = io.StringIO()
-    write = out.write
-    write(f"\\ Problem: {m.name}\n")
-    write("Maximize\n" if m.objective_sense == MAXIMIZE else "Minimize\n")
-    write(f" obj: {_fmt_terms(m.objective_terms)}".rstrip() + "\n")
-    write("Subject To\n")
-    for con in m.constraints:
-        write(f" {con.name}: {_fmt_terms(con.terms)} {con.sense} "
-              f"{_fmt_num(con.rhs)}\n")
+def _lp_lines(m: LinearModel):
+    """The lines of the LP text, in order."""
+    text_of = {pair: _pair_text(*pair) for pair in m._shared}.__getitem__
+
+    def terms_text(terms):  # the leading "+ " is dropped
+        text = " ".join(map(text_of, terms))
+        return text[2:] if text.startswith("+ ") else text
+
+    yield f"\\ Problem: {m.name}\n"
+    yield "Maximize\n" if m.objective_sense == MAXIMIZE else "Minimize\n"
+    yield f" obj: {terms_text(m.objective_terms)}".rstrip() + "\n"
+    yield "Subject To\n"
+    for name, terms, sense, rhs in m.constraints:
+        yield f" {name}: {terms_text(terms)} {sense} {_fmt_num(rhs)}\n"
     bounded = [v for v in m.variables if v.kind in (INTEGER, CONTINUOUS)]
     if bounded:
-        write("Bounds\n")
+        yield "Bounds\n"
         for v in bounded:
             lb = "-inf" if v.lb is None else _fmt_num(v.lb)
             ub = "+inf" if v.ub is None else _fmt_num(v.ub)
-            write(f" {lb} <= {v.name} <= {ub}\n")
-    binaries = [v.name for v in m.variables if v.kind == BINARY]
-    if binaries:
-        write("Binaries\n")
-        for start in range(0, len(binaries), 8):
-            write(" " + " ".join(binaries[start:start + 8]) + "\n")
-    generals = [v.name for v in m.variables if v.kind == INTEGER]
-    if generals:
-        write("Generals\n")
-        for start in range(0, len(generals), 8):
-            write(" " + " ".join(generals[start:start + 8]) + "\n")
-    write("End\n")
-    return out.getvalue()
+            yield f" {lb} <= {v.name} <= {ub}\n"
+    for header, kind in (("Binaries\n", BINARY), ("Generals\n", INTEGER)):
+        names = [v.name for v in m.variables if v.kind == kind]
+        if names:
+            yield header
+            for start in range(0, len(names), 8):
+                yield " " + " ".join(names[start:start + 8]) + "\n"
+    yield "End\n"
+
+
+def write_lp(m: LinearModel) -> str:
+    """Emit the model as deterministic CPLEX-LP-format text.
+
+    The text of each distinct `(coef, name)` pair the model stores is made
+    once per call, and every row and the objective look their pairs up in
+    it.  The lines are joined in blocks of 4,096 as they are made, so at its
+    peak the call holds the finished blocks, one block of line strings and
+    the final text, not every line besides the final text.
+    """
+    lines = _lp_lines(m)
+    blocks = []
+    while block := "".join(islice(lines, 4096)):
+        blocks.append(block)
+    return "".join(blocks)
 
 
 def _round_integral(var: Variable, value: Fraction, strict: bool):

@@ -30,7 +30,8 @@ from dagpart.errors import (
     QubitCapacityInfeasibleError,
     TooLargeError,
 )
-from dagpart.formulations import MAX_INTERNAL, a_prime_value, compute_A
+from dagpart.formulations import (MAX_INTERNAL, a_prime_value, chained_triples,
+                                  compute_A)
 from dagpart.model import BINARY, INTEGER
 
 from conftest import (
@@ -319,6 +320,22 @@ def test_A_diamond_counts_both_branches():
 def test_A_weighted():
     g = Dag([2, 5, 3], [(0, 1, 1), (1, 2, 1)])
     assert compute_A(g)[(0, 2)] == 10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_A_grows_along_chained_triples(seed):
+    # build_albareda skips the row tests that this inequality decides
+    rng = random.Random(seed)
+    n = rng.randint(8, 24)
+    label = rng.sample(range(n), n)  # vertex ids not in topological order
+    edges = [(label[i], label[j], 1) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.25]
+    g = Dag([rng.randint(0, 5) for _ in range(n)], edges)
+    A = compute_A(g)
+    triples = chained_triples(g)
+    assert triples
+    for i, j, l in triples:
+        assert A[(i, l)] >= max(A[(i, j)], A[(j, l)]), (seed, i, j, l)
 
 
 def test_a_prime_chain():

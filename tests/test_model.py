@@ -1,15 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from dagpart import LinearModel, evaluate, read_solution, write_lp
-from dagpart import BuildOptions, build_proposed, build_undirected
+from dagpart import BuildOptions, build_formulation, build_proposed, build_undirected
 from dagpart.errors import (NonIntegralValueError, SolutionParseError,
                             UnrepresentableCoefficientError)
 from dagpart.model import _round_integral
 
-from conftest import chain
+from conftest import chain, random_dag
 
 GOLDEN_PROPOSED_CHAIN3 = """\\ Problem: proposed
 Minimize
@@ -66,6 +67,20 @@ def test_golden_lp_proposed():
 def test_golden_lp_undirected():
     g = chain(3)
     assert write_lp(build_undirected(g, BuildOptions(k=2))) == GOLDEN_UNDIRECTED_CHAIN3
+
+
+def test_write_lp_peak_memory_is_bounded_by_its_output():
+    # the largest hash-pinned model; write_lp joins its lines in blocks, so
+    # it never holds every line string beside the final text
+    g = random_dag(random.Random(30), 30, p=0.25)
+    m = build_formulation("nossack", g, BuildOptions(k=3, eps=Fraction(1, 10)))
+    tracemalloc.start()
+    try:
+        text = write_lp(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_lp_byte_stability():
