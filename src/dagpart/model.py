@@ -6,23 +6,28 @@ added, and values once, when a solution is read or evaluated: a number
 that is integral is kept as a plain int, any other as a `Fraction` (a
 float becomes the `Fraction` of its exact binary value).  A model stores
 each distinct `(coef, name)` pair once: the first equal pair it checks is
-kept and reused by every later row and the objective, so rows are immutable
-named tuples of shared pairs.  int and `Fraction` arithmetic mix without
-rounding, so `evaluate` checks constraints exactly after integrality
-rounding.
+kept and reused by every later row and the objective.  The rows are stored
+as three columns, their names, their tuples of shared pairs and their
+`(sense, rhs)` tails, each distinct tail likewise stored once; the
+`constraints` attribute is a read-only sequence of immutable `Constraint`s
+made from the columns on every read.  int and `Fraction` arithmetic mix
+without rounding, so `evaluate` checks constraints exactly after
+integrality rounding.
 
-`write_lp` formats the text of each stored pair once per call and builds
-each row from that text.  It joins the lines in blocks of a few thousand as
-they are made, so its peak memory is the finished blocks, one block of line
-strings and the final text, about twice the text itself.
+`write_lp` formats the text of each stored pair and tail once per call and
+builds each row from that text.  It joins the lines in blocks of a few
+thousand as they are made, so its peak memory is the finished blocks, one
+block of line strings and the final text, about twice the text itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -85,19 +90,54 @@ def _exact(value, where: str):
     return frac
 
 
+class _Rows(Sequence):
+    """A read-only view of a model's rows: every read makes `Constraint`s
+    from the columns, and a slice is a list of them."""
+
+    def __init__(self, m: LinearModel):
+        self._columns = (m._row_names, m._row_terms, m._row_tails)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        names, terms, tails = self._columns
+        return Constraint(names[i], terms[i], *tails[i])
+
+    def __iter__(self):
+        # tuple.__new__ skips Constraint's __new__, which is Python code
+        names, terms, tails = self._columns
+        rows = zip(names, terms, map(itemgetter(0), tails), map(itemgetter(1), tails))
+        return map(tuple.__new__, repeat(Constraint), rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class LinearModel:
     """Variables with domains, linear constraints, and a linear objective.
 
     Variables and constraints are kept in declaration order, which fixes
-    the byte layout of the emitted LP file.
+    the byte layout of the emitted LP file.  A row is stored as its name,
+    its tuple of shared pairs and its shared `(sense, rhs)` tail, in three
+    parallel lists that only `add_constraint` appends to; `constraints`
+    reads them as `Constraint`s.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
         self._index: dict[str, Variable] = {}
-        self.constraints: list[Constraint] = []
+        self._row_names: list[str] = []
+        self._row_terms: list[tuple] = []
+        self._row_tails: list[tuple] = []
         self._shared: dict[tuple, tuple] = {}  # every checked pair, to itself
+        self._tails: dict[tuple, tuple] = {}   # every stored tail, to itself
         self.objective_sense = MINIMIZE
         self.objective_terms: tuple = ()
         self.meta: dict = {}
@@ -120,6 +160,11 @@ class LinearModel:
 
     def add_continuous(self, name: str, lb, ub) -> str:
         return self._add_var(name, CONTINUOUS, lb, ub)
+
+    @property
+    def constraints(self) -> _Rows:
+        """The rows in declaration order, as a read-only sequence."""
+        return _Rows(self)
 
     def var(self, name: str) -> Variable:
         return self._index[name]
@@ -164,9 +209,11 @@ class LinearModel:
     def add_constraint(self, name: str, terms, sense: str, rhs) -> None:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {sense!r}")
-        self.constraints.append(Constraint(
-            name, self._checked_terms(terms, name), sense,
-            rhs if type(rhs) is int else _exact(rhs, name)))
+        terms = self._checked_terms(terms, name)
+        tail = (sense, rhs if type(rhs) is int else _exact(rhs, name))
+        self._row_names.append(name)
+        self._row_terms.append(terms)
+        self._row_tails.append(self._tails.setdefault(tail, tail))
 
     def set_objective(self, sense: str, terms) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
@@ -190,6 +237,7 @@ def _pair_text(coef, name) -> str:
 def _lp_lines(m: LinearModel):
     """The lines of the LP text, in order."""
     text_of = {pair: _pair_text(*pair) for pair in m._shared}.__getitem__
+    tail_text = {tail: f" {tail[0]} {_fmt_num(tail[1])}\n" for tail in m._tails}
 
     def terms_text(terms):  # the leading "+ " is dropped
         text = " ".join(map(text_of, terms))
@@ -199,8 +247,8 @@ def _lp_lines(m: LinearModel):
     yield "Maximize\n" if m.objective_sense == MAXIMIZE else "Minimize\n"
     yield f" obj: {terms_text(m.objective_terms)}".rstrip() + "\n"
     yield "Subject To\n"
-    for name, terms, sense, rhs in m.constraints:
-        yield f" {name}: {terms_text(terms)} {sense} {_fmt_num(rhs)}\n"
+    for name, terms, tail in zip(m._row_names, m._row_terms, m._row_tails):
+        yield f" {name}: {terms_text(terms)}{tail_text[tail]}"
     bounded = [v for v in m.variables if v.kind in (INTEGER, CONTINUOUS)]
     if bounded:
         yield "Bounds\n"
@@ -220,11 +268,12 @@ def _lp_lines(m: LinearModel):
 def write_lp(m: LinearModel) -> str:
     """Emit the model as deterministic CPLEX-LP-format text.
 
-    The text of each distinct `(coef, name)` pair the model stores is made
-    once per call, and every row and the objective look their pairs up in
-    it.  The lines are joined in blocks of 4,096 as they are made, so at its
-    peak the call holds the finished blocks, one block of line strings and
-    the final text, not every line besides the final text.
+    The text of each distinct `(coef, name)` pair and `(sense, rhs)` tail
+    the model stores is made once per call, and every row and the objective
+    look theirs up in it.  The lines are joined in blocks of 4,096 as they
+    are made, so at its peak the call holds the finished blocks, one block
+    of line strings and the final text, not every line besides the final
+    text.
     """
     lines = _lp_lines(m)
     blocks = []
@@ -312,7 +361,8 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
         if violations and early_exit:
             break
     if not (violations and early_exit):
-        for name, terms, sense, rhs in m.constraints:
+        for name, terms, (sense, rhs) in zip(m._row_names, m._row_terms,
+                                             m._row_tails):
             lhs = 0
             for coef, var_name in terms:
                 lhs += coef * values[var_name]

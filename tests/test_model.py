@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from dagpart import LinearModel, evaluate, read_solution, write_lp
 from dagpart import BuildOptions, build_formulation, build_proposed, build_undirected
 from dagpart.errors import (NonIntegralValueError, SolutionParseError,
                             UnrepresentableCoefficientError)
-from dagpart.model import _round_integral
+from dagpart.model import Constraint, _round_integral
 
 from conftest import chain, random_dag
 
@@ -81,6 +82,19 @@ def test_write_lp_peak_memory_is_bounded_by_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_stored_rows_are_compact():
+    # the largest hash-pinned model; a row is stored as its name, its terms
+    # and a shared (sense, rhs) tail, with no tuple of its own around them
+    g = random_dag(random.Random(30), 30, p=0.25)
+    tracemalloc.start()
+    try:
+        m = build_formulation("nossack", g, BuildOptions(k=3, eps=Fraction(1, 10)))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size <= 215 * len(m.constraints), size / len(m.constraints)
 
 
 def test_lp_byte_stability():
@@ -288,6 +302,7 @@ def test_unrepresentable_coefficient_rejected(place, bad):
         else:
             m.set_objective("min", [(1, "a"), (bad, "b")])
     assert m.constraints == [] and m.objective_terms == ()
+    assert m._row_names == m._row_terms == m._row_tails == [] and not m._tails
 
 
 @pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING] + UNDERFLOWING)
@@ -361,6 +376,8 @@ def test_row_errors_keep_their_class_message_and_order():
         _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in objective",
                         lambda: m.set_objective("max", terms))
     assert [con.name for con in m.constraints] == ["ok"]
+    assert [len(m._row_names), len(m._row_terms), len(m._row_tails), len(m._tails)] == \
+        [1, 1, 1, 1]
     assert m.objective_terms == ((1, "a"),) and m.objective_sense == "min"
 
 
@@ -433,6 +450,44 @@ def test_constraint_is_immutable_and_unpacks():
     name, terms, sense, rhs = con
     assert (name, terms, sense, rhs) == ("c", ((1, "a"), (1, "b")), ">=", 1)
     assert (con.name, con.terms, con.sense, con.rhs) == (name, terms, sense, rhs)
+
+
+def test_constraints_is_a_read_only_sequence_of_constraints():
+    m = _two_vars()
+    m.add_constraint("c1", [(1, "a")], "<=", 1)
+    m.add_constraint("c2", [(1, "b")], ">=", Fraction(1, 2))
+    m.add_constraint("c3", [(1, "a"), (1, "b")], "<=", 1.0)
+    rows = [Constraint("c1", ((1, "a"),), "<=", 1),
+            Constraint("c2", ((1, "b"),), ">=", Fraction(1, 2)),
+            Constraint("c3", ((1, "a"), (1, "b")), "<=", 1)]
+    view = m.constraints
+    assert isinstance(view, Sequence) and len(view) == 3
+    assert view[-1] == rows[-1] and view[1:] == rows[1:] and type(view[1:]) is list
+    assert all(type(con) is Constraint for con in view)
+    assert view == rows and not view != rows and view != rows[:2]
+    assert LinearModel().constraints == []
+    with pytest.raises(IndexError):
+        view[3]
+    # rows with equal (sense, rhs) share one tail, however the rhs was given
+    assert m._row_tails[0] is m._row_tails[2] and len(m._tails) == 2
+
+
+def test_rows_enter_only_through_add_constraint():
+    # an unchecked row could name a variable the model lacks, and write_lp
+    # and evaluate would then fail on it with a bare KeyError
+    m = _toy_model()
+    ghost = Constraint("g", ((1, "ghost"),), "<=", 1)
+    with pytest.raises(AttributeError):
+        m.constraints.append(ghost)
+    with pytest.raises(AttributeError):
+        m.constraints = [ghost]
+    with pytest.raises(TypeError):
+        m.constraints[0] = ghost
+    with pytest.raises(TypeError):
+        m.constraints += [ghost]
+    assert [con.name for con in m.constraints] == ["both"]
+    assert " both: a + b <= 1\n" in write_lp(m)
+    assert evaluate(m, {"a": 1, "b": 0}).feasible
 
 
 # -- evaluate against a sum() reference -----------------------------------------
