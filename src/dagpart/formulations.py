@@ -7,7 +7,10 @@ x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
 for z follow topological position order, so "i before j" always means
 pos[i] < pos[j].  A builder formats each x, z and y name once, and makes
 each unit term pair on them, such as `(1, x_i_s)` or `(-1, z_i_j)`, once;
-every row that uses a pair passes that one tuple.
+every row that uses a pair passes that one tuple.  Each large row family
+(`tri*`, `xtri*`/`xchain*`/`xpair3`, `topo1`/`topo2`, `acyc2`,
+`samepart`/`zlink`, `induced`) is handed to `LinearModel.add_constraints`
+in one call, as a generator of its rows in order.
 """
 
 from __future__ import annotations
@@ -108,19 +111,26 @@ def _add_y(m: LinearModel, k: int) -> dict:
 def _add_induced(m: LinearModel, g: Dag, px, y: dict) -> None:
     """An edge from part s to part t forces y_s_t = 1."""
     parts = [(s, t, f"{s}_{t}", pair) for (s, t), pair in _with_coef(-1, y).items()]
-    for u, v, _ in g.edges:
-        head, xu, xv = f"induced_{u}_{v}_", px[u], px[v]
-        for s, t, tail, ny in parts:
-            m.add_constraint(head + tail, (xu[s], xv[t], ny), "<=", 1)
+
+    def rows():
+        for u, v, _ in g.edges:
+            head, xu, xv = f"induced_{u}_{v}_", px[u], px[v]
+            for s, t, tail, ny in parts:
+                yield head + tail, (xu[s], xv[t], ny), "<=", 1
+
+    m.add_constraints(rows())
 
 
 def _add_same_part(m: LinearModel, prefix: str, pz: dict, px, nx) -> None:
     """Same-part z rows: z = 1 claims i and j share a part; without these rows
     nothing pins z to 0 on a cut edge, and a solver could claim a false cut."""
-    for (i, j), zij in pz.items():
-        head = f"{prefix}_{i}_{j}_"
-        for s, (xis, xjs) in enumerate(zip(px[i], nx[j])):
-            m.add_constraint(f"{head}{s}", (zij, xis, xjs), "<=", 1)
+    def rows():
+        for (i, j), zij in pz.items():
+            head = f"{prefix}_{i}_{j}_"
+            for s, (xis, xjs) in enumerate(zip(px[i], nx[j])):
+                yield f"{head}{s}", (zij, xis, xjs), "<=", 1
+
+    m.add_constraints(rows())
 
 
 def _finish(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
@@ -260,14 +270,18 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
 
     pz, nz, twoz = _with_coef(1, z), _with_coef(-1, z), _with_coef(2, z)
     _add_same_part(m, "samepart", pz, px, nx)
-    for i, j, h in triples:
-        ij, jh, ih = (i, j), (j, h), (i, h)
-        tail = f"_{i}_{j}_{h}"
-        m.add_constraint("tri1" + tail, (pz[ij], pz[jh], nz[ih]), "<=", 1)
-        m.add_constraint("tri2" + tail, (pz[ij], nz[jh], pz[ih]), "<=", 1)
-        m.add_constraint("tri3" + tail, (nz[ij], pz[jh], pz[ih]), "<=", 1)
-        m.add_constraint("tri4" + tail, (pz[ih], nz[ij]), "<=", 0)
-        m.add_constraint("tri5" + tail, (twoz[ih], nz[ij], nz[jh]), "<=", 0)
+
+    def tri_rows():
+        for i, j, h in triples:
+            ij, jh, ih = (i, j), (j, h), (i, h)
+            tail = f"_{i}_{j}_{h}"
+            yield "tri1" + tail, (pz[ij], pz[jh], nz[ih]), "<=", 1
+            yield "tri2" + tail, (pz[ij], nz[jh], pz[ih]), "<=", 1
+            yield "tri3" + tail, (nz[ij], pz[jh], pz[ih]), "<=", 1
+            yield "tri4" + tail, (pz[ih], nz[ij]), "<=", 0
+            yield "tri5" + tail, (twoz[ih], nz[ij], nz[jh]), "<=", 0
+
+    m.add_constraints(tri_rows())
     _add_induced(m, g, px, y)
     # big-M must cover the widest possible pi gap, which is k-1 when k > n
     big_m = max(g.n, k)
@@ -322,13 +336,16 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
         return px[i][:s + 1]
 
     if variant in ("base", "extended"):
-        for i, j in pairs:
-            if a_tab[(i, j)] > bound:
-                head, prefix_j = f"topo2_{i}_{j}_", prefix_le
-            else:
-                head, prefix_j = f"topo1_{i}_{j}_", prefix_lt
-            for s in range(k):
-                m.add_constraint(f"{head}{s}", prefix_ge(i, s) + prefix_j(j, s), "<=", 1)
+        def topo_rows():
+            for i, j in pairs:
+                if a_tab[(i, j)] > bound:
+                    head, prefix_j = f"topo2_{i}_{j}_", prefix_le
+                else:
+                    head, prefix_j = f"topo1_{i}_{j}_", prefix_lt
+                for s in range(k):
+                    yield f"{head}{s}", prefix_ge(i, s) + prefix_j(j, s), "<=", 1
+
+        m.add_constraints(topo_rows())
         # topo3 is generated for every edge, not only heavy pairs as printed:
         # it is what pins z on cut edges, and it is valid regardless of A vs B
         for u, v, _ in g.edges:
@@ -341,23 +358,27 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
         for (i, j), zij in pz.items():
             if a_tab[(i, j)] > bound:
                 m.add_constraint(f"fixz_{i}_{j}", (zij,), "=", 0)
+
         # a chained triple has a_il >= max(a_ij, a_jl) (see compute_A), so
         # xchain1 needs no test of a_ij, and the printed xpair1 (a_jl > bound
         # >= a_il) and xpair2 (a_ij > bound >= a_il) rows can never be emitted
-        for i, j, l in triples:
-            ij, jl, il = (i, j), (j, l), (i, l)
-            a_ij, a_jl, a_il = a_tab[ij], a_tab[jl], a_tab[il]
-            tail = f"_{i}_{j}_{l}"
-            if a_ij > bound:
-                m.add_constraint("xtri1" + tail, (pz[ij], pz[jl], nz[il]), "<=", 1)
-                m.add_constraint("xtri2" + tail, (pz[il], pz[jl], nz[ij]), "<=", 1)
-                m.add_constraint("xtri3" + tail, (pz[ij], pz[il], nz[jl]), "<=", 1)
-            if a_il <= bound:
-                m.add_constraint("xchain1" + tail, (pz[il], nz[ij]), "<=", 0)
-            if a_ij <= bound and a_jl <= bound:
-                m.add_constraint("xchain2" + tail, (pz[il], nz[jl]), "<=", 0)
-                if a_il > bound:
-                    m.add_constraint("xpair3" + tail, (pz[ij], pz[jl]), "<=", 1)
+        def triple_rows():
+            for i, j, l in triples:
+                ij, jl, il = (i, j), (j, l), (i, l)
+                a_ij, a_jl, a_il = a_tab[ij], a_tab[jl], a_tab[il]
+                tail = f"_{i}_{j}_{l}"
+                if a_ij > bound:
+                    yield "xtri1" + tail, (pz[ij], pz[jl], nz[il]), "<=", 1
+                    yield "xtri2" + tail, (pz[il], pz[jl], nz[ij]), "<=", 1
+                    yield "xtri3" + tail, (pz[ij], pz[il], nz[jl]), "<=", 1
+                if a_il <= bound:
+                    yield "xchain1" + tail, (pz[il], nz[ij]), "<=", 0
+                if a_ij <= bound and a_jl <= bound:
+                    yield "xchain2" + tail, (pz[il], nz[jl]), "<=", 0
+                    if a_il > bound:
+                        yield "xpair3" + tail, (pz[ij], pz[jl]), "<=", 1
+
+        m.add_constraints(triple_rows())
 
     if variant == "final":
         earlier = [_in_topo_order(g, anc) for anc in g.ancestor_masks]
@@ -383,11 +404,13 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                         m.add_constraint(f"{head}{s}", terms, "<=", 3)
         # ordering constraints for every reachable pair; z = 1 relaxes them,
         # z fixed to 0 for heavy pairs recovers the strict ordering
-        for i, j in pairs:
-            head, nzij = f"acyc2_{i}_{j}_", [nz[i, j]]
-            for s in range(k):
-                terms = nzij + prefix_ge(i, s) + prefix_le(j, s)
-                m.add_constraint(f"{head}{s}", terms, "<=", 1)
+        def acyc2_rows():
+            for i, j in pairs:
+                head, nzij = f"acyc2_{i}_{j}_", [nz[i, j]]
+                for s in range(k):
+                    yield f"{head}{s}", nzij + prefix_ge(i, s) + prefix_le(j, s), "<=", 1
+
+        m.add_constraints(acyc2_rows())
         _add_same_part(m, "zlink", pz, px, nx)
 
     _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL, z)

@@ -5,29 +5,32 @@ are normalised once, when a variable, a constraint or the objective is
 added, and values once, when a solution is read or evaluated: a number
 that is integral is kept as a plain int, any other as a `Fraction` (a
 float becomes the `Fraction` of its exact binary value).  A model stores
-each distinct `(coef, name)` pair once: the first equal pair it checks is
-kept and reused by every later row and the objective.  The rows are stored
-as three columns, their names, their tuples of shared pairs and their
-`(sense, rhs)` tails, each distinct tail likewise stored once; the
-`constraints` attribute is a read-only sequence of immutable `Constraint`s
-made from the columns on every read.  int and `Fraction` arithmetic mix
-without rounding, so `evaluate` checks constraints exactly after
-integrality rounding.
+each distinct `(coef, name)` pair once, in a pair table: the first equal
+pair it checks gets the next pair id and is reused by every later row and
+the objective.  The rows are stored in blocks of 1,024 in CSR form: a
+block keeps its rows' pair ids in one flat list, one term count and one
+shared `(sense, rhs)` tail per row, each distinct tail stored once, and its
+row names joined in one string with an `array('I')` of where each name
+ends.  The `constraints` attribute is a read-only sequence of immutable
+`Constraint`s made from the blocks on every read.  int and `Fraction`
+arithmetic mix without rounding, so `evaluate` checks constraints exactly
+after integrality rounding.
 
 `write_lp` formats the text of each stored pair and tail once per call and
-builds each row from that text.  It joins the lines in blocks of a few
-thousand as they are made, so its peak memory is the finished blocks, one
-block of line strings and the final text, about twice the text itself.
+emits each block of rows as one string made from that text, so its peak
+memory is the finished strings, one block's pieces and the final text,
+about twice the text itself.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, count, islice, repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -90,27 +93,76 @@ def _exact(value, where: str):
     return frac
 
 
+# write_lp builds a block's text from pieces about four times its size, so a
+# block is kept small beside the whole text of a small model
+_ROWS_PER_BLOCK = 1024
+
+
+class _Block:
+    """Up to `_ROWS_PER_BLOCK` rows in CSR form: their pair ids in one flat
+    list, and one term count, one shared `(sense, rhs)` tail and one name per
+    row.  While the block is open its names are a list; a full block is
+    sealed, and its names become one string and the `array('I')` of where
+    each name ends in it."""
+
+    __slots__ = ("ids", "counts", "tails", "names", "ends")
+
+    def __init__(self):
+        self.ids: list[int] = []
+        self.counts: list[int] = []
+        self.tails: list[tuple] = []
+        self.names: list[str] | str = []
+        self.ends: array | None = None
+
+    def seal(self) -> None:
+        self.ends = array("I", accumulate(map(len, self.names)))
+        self.names = "".join(self.names)
+
+    def row_names(self) -> list[str]:
+        if self.ends is None:
+            return self.names
+        text, ends = self.names, self.ends
+        return [text[start:end] for start, end in zip(chain((0,), ends), ends)]
+
+    def row_name(self, r: int) -> str:
+        if self.ends is None:
+            return self.names[r]
+        return self.names[self.ends[r - 1] if r else 0:self.ends[r]]
+
+
 class _Rows(Sequence):
     """A read-only view of a model's rows: every read makes `Constraint`s
-    from the columns, and a slice is a list of them."""
+    from the blocks, and a slice is a list of them.  Indexing sums the term
+    counts before the row in its block."""
 
     def __init__(self, m: LinearModel):
-        self._columns = (m._row_names, m._row_terms, m._row_tails)
+        self._blocks, self._pairs = m._blocks, m._pairs
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return _ROWS_PER_BLOCK * (len(self._blocks) - 1) + len(self._blocks[-1].counts)
 
     def __getitem__(self, i):
+        rows = range(len(self))[i]  # raises as a list index would
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        names, terms, tails = self._columns
-        return Constraint(names[i], terms[i], *tails[i])
+            return [self[j] for j in rows]
+        b, r = divmod(rows, _ROWS_PER_BLOCK)
+        block = self._blocks[b]
+        start = sum(islice(block.counts, r))
+        ids = block.ids[start:start + block.counts[r]]
+        return Constraint(block.row_name(r), tuple(map(self._pairs.__getitem__, ids)),
+                          *block.tails[r])
 
     def __iter__(self):
-        # tuple.__new__ skips Constraint's __new__, which is Python code
-        names, terms, tails = self._columns
-        rows = zip(names, terms, map(itemgetter(0), tails), map(itemgetter(1), tails))
-        return map(tuple.__new__, repeat(Constraint), rows)
+        pair = self._pairs.__getitem__
+        for block in self._blocks:
+            # a slice of a tuple is a tuple: each row's terms
+            flat, ends = tuple(map(pair, block.ids)), list(accumulate(block.counts))
+            terms = map(flat.__getitem__, map(slice, chain((0,), ends), ends))
+            tails = block.tails
+            rows = zip(block.row_names(), terms, map(itemgetter(0), tails),
+                       map(itemgetter(1), tails))
+            # tuple.__new__ skips Constraint's __new__, which is Python code
+            yield from map(tuple.__new__, repeat(Constraint), rows)
 
     def __eq__(self, other) -> bool:
         return list(self) == other
@@ -123,21 +175,20 @@ class LinearModel:
     """Variables with domains, linear constraints, and a linear objective.
 
     Variables and constraints are kept in declaration order, which fixes
-    the byte layout of the emitted LP file.  A row is stored as its name,
-    its tuple of shared pairs and its shared `(sense, rhs)` tail, in three
-    parallel lists that only `add_constraint` appends to; `constraints`
-    reads them as `Constraint`s.
+    the byte layout of the emitted LP file.  Each distinct `(coef, name)`
+    pair is stored once in a pair table, and the rows are stored in blocks
+    of 1,024 as runs of pair ids, which only `add_constraints` appends to;
+    `constraints` reads them as `Constraint`s.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
         self._index: dict[str, Variable] = {}
-        self._row_names: list[str] = []
-        self._row_terms: list[tuple] = []
-        self._row_tails: list[tuple] = []
-        self._shared: dict[tuple, tuple] = {}  # every checked pair, to itself
+        self._pairs: list[tuple] = []          # pair id -> the stored pair
+        self._pair_ids: dict[tuple, int] = {}  # every stored pair -> its id
         self._tails: dict[tuple, tuple] = {}   # every stored tail, to itself
+        self._blocks = [_Block()]              # only the last one is open
         self.objective_sense = MINIMIZE
         self.objective_terms: tuple = ()
         self.meta: dict = {}
@@ -172,26 +223,22 @@ class LinearModel:
     def has_var(self, name: str) -> bool:
         return name in self._index
 
-    def _checked_terms(self, terms, row: str | None) -> tuple:
-        """The terms as a tuple of the model's shared `(coef, name)` pairs.
-        A row whose pairs are all equal to pairs checked before maps to
-        those; any other row goes through `_check_terms`, and the pairs it
-        returns are shared from then on.  `row` is the constraint's name, or
-        None for the objective."""
-        terms = tuple(terms)
-        shared = self._shared
-        try:
-            return tuple(map(shared.__getitem__, terms))
-        except (KeyError, TypeError):  # a new pair, or an unhashable one
-            pass
-        checked = self._check_terms(terms, row)
-        return tuple(map(shared.setdefault, checked, checked))
+    def _store_pairs(self, pairs: tuple) -> tuple:
+        """The ids of checked pairs.  A pair equal to a stored one maps to
+        that one's id; any other is stored under the next id."""
+        table, ids = self._pairs, self._pair_ids
+        for pair in pairs:
+            if pair not in ids:
+                ids[pair] = len(table)
+                table.append(pair)
+        return tuple(map(ids.__getitem__, pairs))
 
     def _check_terms(self, terms: tuple, row: str | None) -> tuple:
         """The terms as a tuple of `(coef, name)` pairs, in one pass that
         checks every name.  If every pair is a tuple with an int coefficient
         the pairs are kept as given; otherwise every coefficient is
-        normalised by `_exact`."""
+        normalised by `_exact`.  `row` is the constraint's name, or None for
+        the objective."""
         index = self._index
         as_given = True
         for pair in terms:
@@ -206,19 +253,52 @@ class LinearModel:
         where = "objective" if row is None else row
         return tuple((_exact(coef, where), var_name) for coef, var_name in terms)
 
+    def add_constraints(self, rows) -> None:
+        """Check and store each `(name, terms, sense, rhs)` row of an
+        iterable, in one loop; `add_constraint` adds one row through it.
+
+        A row's name must be a str; then its sense, the names of its terms,
+        their coefficients and its rhs are checked, in that order.  A bad
+        row raises and adds nothing: the rows before it stay, and the
+        iterable is not read past it.  A row whose pairs all equal stored
+        pairs maps to their ids; any other row's pairs are checked, and
+        stored once its rhs is checked too.
+        """
+        id_of, tails = self._pair_ids.__getitem__, self._tails
+        block = self._blocks[-1]
+        for name, terms, sense, rhs in rows:
+            if not isinstance(name, str):
+                raise TypeError(f"constraint name {name!r} is not a str")
+            if sense not in ("<=", ">=", "="):
+                raise ValueError(f"bad sense {sense!r}")
+            # a one-shot iterable is read once, before any lookup
+            terms = tuple(terms)
+            try:
+                ids = tuple(map(id_of, terms))
+            except (KeyError, TypeError):  # a new pair, or an unhashable one
+                ids = None
+            if ids is None:
+                checked = self._check_terms(terms, name)
+            tail = (sense, rhs if type(rhs) is int else _exact(rhs, name))
+            if ids is None:
+                ids = self._store_pairs(checked)
+            block.ids += ids
+            block.counts.append(len(ids))
+            block.tails.append(tails.setdefault(tail, tail))
+            block.names.append(name)
+            if len(block.counts) == _ROWS_PER_BLOCK:
+                block.seal()
+                block = _Block()
+                self._blocks.append(block)
+
     def add_constraint(self, name: str, terms, sense: str, rhs) -> None:
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"bad sense {sense!r}")
-        terms = self._checked_terms(terms, name)
-        tail = (sense, rhs if type(rhs) is int else _exact(rhs, name))
-        self._row_names.append(name)
-        self._row_terms.append(terms)
-        self._row_tails.append(self._tails.setdefault(tail, tail))
+        self.add_constraints(((name, terms, sense, rhs),))
 
     def set_objective(self, sense: str, terms) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
             raise ValueError(f"bad objective sense {sense!r}")
-        self.objective_terms = self._checked_terms(terms, None)
+        ids = self._store_pairs(self._check_terms(tuple(terms), None))
+        self.objective_terms = tuple(map(self._pairs.__getitem__, ids))
         self.objective_sense = sense
 
 
@@ -234,21 +314,43 @@ def _pair_text(coef, name) -> str:
     return sign + name if coef == 1 else f"{sign}{_fmt_num(coef)} {name}"
 
 
-def _lp_lines(m: LinearModel):
-    """The lines of the LP text, in order."""
-    text_of = {pair: _pair_text(*pair) for pair in m._shared}.__getitem__
-    tail_text = {tail: f" {tail[0]} {_fmt_num(tail[1])}\n" for tail in m._tails}
+def _block_text(block: _Block, lead: list[str], rest: list[str], tail_text: dict) -> str:
+    """The LP lines of a block's rows.  The text of every term goes in one
+    list of pieces, whose first piece stands before all rows: a row's name
+    is put before its first term, which takes its `lead` text, and its tail
+    after its last; a row without terms is appended to the piece before
+    it."""
+    ids = block.ids
+    pieces = [""]
+    pieces += map(rest.__getitem__, ids)
+    end = 0
+    for name, size, tail in zip(block.row_names(), block.counts, block.tails):
+        if size:
+            pieces[end + 1] = f" {name}:{lead[ids[end]]}"
+            end += size
+            pieces[end] += tail_text[tail]
+        else:
+            pieces[end] += f" {name}: {tail_text[tail]}"
+    return "".join(pieces)
 
-    def terms_text(terms):  # the leading "+ " is dropped
-        text = " ".join(map(text_of, terms))
-        return text[2:] if text.startswith("+ ") else text
+
+def _lp_parts(m: LinearModel):
+    """The LP text in order: each block of rows as one string, and every
+    other line on its own."""
+    texts = [_pair_text(*pair) for pair in m._pairs]
+    # a row's first term drops a leading "+ "; the others follow a space
+    lead = [" " + (text[2:] if text.startswith("+ ") else text) for text in texts]
+    rest = [" " + text for text in texts]
+    tail_text = {tail: f" {tail[0]} {_fmt_num(tail[1])}\n" for tail in m._tails}
+    objective = " ".join(_pair_text(*pair) for pair in m.objective_terms)
+    objective = objective[2:] if objective.startswith("+ ") else objective
 
     yield f"\\ Problem: {m.name}\n"
     yield "Maximize\n" if m.objective_sense == MAXIMIZE else "Minimize\n"
-    yield f" obj: {terms_text(m.objective_terms)}".rstrip() + "\n"
+    yield f" obj: {objective}".rstrip() + "\n"
     yield "Subject To\n"
-    for name, terms, tail in zip(m._row_names, m._row_terms, m._row_tails):
-        yield f" {name}: {terms_text(terms)}{tail_text[tail]}"
+    for block in m._blocks:
+        yield _block_text(block, lead, rest, tail_text)
     bounded = [v for v in m.variables if v.kind in (INTEGER, CONTINUOUS)]
     if bounded:
         yield "Bounds\n"
@@ -268,18 +370,13 @@ def _lp_lines(m: LinearModel):
 def write_lp(m: LinearModel) -> str:
     """Emit the model as deterministic CPLEX-LP-format text.
 
-    The text of each distinct `(coef, name)` pair and `(sense, rhs)` tail
-    the model stores is made once per call, and every row and the objective
-    look theirs up in it.  The lines are joined in blocks of 4,096 as they
-    are made, so at its peak the call holds the finished blocks, one block
-    of line strings and the final text, not every line besides the final
-    text.
+    The text of each stored `(coef, name)` pair and `(sense, rhs)` tail is
+    made once per call, and each block of rows is emitted as one string
+    made from its pair ids, so at its peak the call holds the finished
+    strings, one block's pieces and the final text, not a string per line
+    besides the final text.
     """
-    lines = _lp_lines(m)
-    blocks = []
-    while block := "".join(islice(lines, 4096)):
-        blocks.append(block)
-    return "".join(blocks)
+    return "".join(_lp_parts(m))
 
 
 def _round_integral(var: Variable, value: Fraction, strict: bool):
@@ -335,12 +432,29 @@ def read_solution(m: LinearModel, text: str):
     return assignment, warnings
 
 
+def _failed_rows(m: LinearModel, values: dict):
+    """The message of each row that `values` violates, in row order.
+
+    Each pair's product is made once, and a row's lhs is the difference of
+    two prefix sums of its block's products, taken at the row's ends; a
+    row's name is read only for a violation."""
+    products = [coef * values[name] for coef, name in m._pairs]
+    for block in m._blocks:
+        sums = list(accumulate(map(products.__getitem__, block.ids), initial=0))
+        at = list(map(sums.__getitem__, accumulate(block.counts, initial=0)))
+        for r, lhs, (sense, rhs) in zip(count(), map(sub, at[1:], at), block.tails):
+            if not (lhs <= rhs if sense == "<=" else
+                    lhs >= rhs if sense == ">=" else lhs == rhs):
+                yield f"{block.row_name(r)}: {lhs} {sense} {rhs} fails"
+
+
 def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult:
     """Check all constraints and domains exactly; report objective value.
 
     Integer-domain values within tolerance of an integer are rounded first.
     Integral values are kept as ints and the rest as Fractions, so every
-    sum below is exact.  With early_exit=True the scan stops at the first
+    sum is exact: each row's lhs is the difference of two prefix sums of its
+    block's pair products.  With early_exit=True the scan stops at the first
     violation.
     """
     values: dict[str, int | Fraction] = {}
@@ -361,16 +475,7 @@ def evaluate(m: LinearModel, assignment, early_exit: bool = False) -> EvalResult
         if violations and early_exit:
             break
     if not (violations and early_exit):
-        for name, terms, (sense, rhs) in zip(m._row_names, m._row_terms,
-                                             m._row_tails):
-            lhs = 0
-            for coef, var_name in terms:
-                lhs += coef * values[var_name]
-            ok = (lhs <= rhs if sense == "<=" else
-                  lhs >= rhs if sense == ">=" else lhs == rhs)
-            if not ok:
-                violations.append(f"{name}: {lhs} {sense} {rhs} fails")
-                if early_exit:
-                    break
+        failed = _failed_rows(m, values)
+        violations += islice(failed, 1) if early_exit else failed
     objective = sum(coef * values[name] for coef, name in m.objective_terms)
     return EvalResult(not violations, tuple(violations), objective)

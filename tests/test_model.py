@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections.abc import Sequence
@@ -85,8 +86,9 @@ def test_write_lp_peak_memory_is_bounded_by_its_output():
 
 
 def test_stored_rows_are_compact():
-    # the largest hash-pinned model; a row is stored as its name, its terms
-    # and a shared (sense, rhs) tail, with no tuple of its own around them
+    # the largest hash-pinned model; a row is stored as a run of pair ids, a
+    # term count, a shared (sense, rhs) tail and its name's characters in a
+    # block, with no string or tuple of its own once its block is full
     g = random_dag(random.Random(30), 30, p=0.25)
     tracemalloc.start()
     try:
@@ -94,7 +96,7 @@ def test_stored_rows_are_compact():
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert size <= 215 * len(m.constraints), size / len(m.constraints)
+    assert size <= 150 * len(m.constraints), size / len(m.constraints)
 
 
 def test_lp_byte_stability():
@@ -289,20 +291,28 @@ def _two_vars():
 
 
 @pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING] + UNDERFLOWING)
-@pytest.mark.parametrize("place", ["first term", "last term", "rhs", "objective"])
+@pytest.mark.parametrize("place", ["first term", "last term", "rhs", "objective",
+                                   "first term in a batch", "last term in a batch",
+                                   "rhs in a batch"])
 def test_unrepresentable_coefficient_rejected(place, bad):
     m = _two_vars()
+    rows = {"first term": ("c", [(bad, "a"), (1, "b")], "<=", 1),
+            "last term": ("c", [(1, "a"), (Fraction(1, 2), "b"), (bad, "a")], "<=", 1),
+            "rhs": ("c", [(1, "a"), (1, "b")], "<=", bad)}
+    kept = Constraint("kept", ((1, "b"),), ">=", 0)
+    after = iter([("after", [(1, "a")], "<=", 1)])
     with pytest.raises(UnrepresentableCoefficientError):
-        if place == "first term":
-            m.add_constraint("c", [(bad, "a"), (1, "b")], "<=", 1)
-        elif place == "last term":
-            m.add_constraint("c", [(1, "a"), (Fraction(1, 2), "b"), (bad, "a")], "<=", 1)
-        elif place == "rhs":
-            m.add_constraint("c", [(1, "a"), (1, "b")], "<=", bad)
-        else:
+        if place in rows:
+            m.add_constraint(*rows[place])
+        elif place == "objective":
             m.set_objective("min", [(1, "a"), (bad, "b")])
-    assert m.constraints == [] and m.objective_terms == ()
-    assert m._row_names == m._row_terms == m._row_tails == [] and not m._tails
+        else:
+            bad_row = rows[place.removesuffix(" in a batch")]
+            m.add_constraints(itertools.chain([kept, bad_row], after))
+    # in a batch, the rows before the bad one stay and the rows after it are
+    # not read
+    assert m.constraints == ([kept] if place.endswith("batch") else [])
+    assert m.objective_terms == () and next(after)[0] == "after"
 
 
 @pytest.mark.parametrize("bad", NON_FINITE + [OVERFLOWING] + UNDERFLOWING)
@@ -359,26 +369,39 @@ def _raises_exactly(cls, message, add_row):
 
 def test_row_errors_keep_their_class_message_and_order():
     # the names are checked before any coefficient, also in rows whose other
-    # pairs are already stored; a failed row adds nothing
+    # pairs are already stored; a failed row adds nothing, and in a batch the
+    # rows before it stay and the rows after it are not read
     m = _two_vars()
     m.add_constraint("ok", [(1, "a"), (2, "b")], "<=", 1)
     m.set_objective("min", [(1, "a")])
     nan, inf = float("nan"), float("inf")
+    after = iter([("after", [(1, "a")], "<=", 1)])
+
+    def batch(terms):
+        rows = [("kept", [(1, "a")], "<=", 1), ("c", terms, "<=", 1)]
+        return lambda: m.add_constraints(itertools.chain(rows, after))
+
     for terms in ([(nan, "a"), (1, "zz")], [(1, "a"), (nan, "zz")],
                   [(1, "a"), (2, "b"), (inf, "a"), (1, "zz")]):
-        _raises_exactly(ValueError, "constraint 'c' references unknown variable 'zz'",
-                        lambda: m.add_constraint("c", terms, "<=", 1))
+        for add_row in (lambda: m.add_constraint("c", terms, "<=", 1), batch(terms)):
+            _raises_exactly(ValueError, "constraint 'c' references unknown variable 'zz'",
+                            add_row)
         _raises_exactly(ValueError, "objective references unknown variable 'zz'",
                         lambda: m.set_objective("max", terms))
     for terms in ([(1, "a"), (nan, "b")], [(inf, "a"), (2, "b")]):
-        _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in c",
-                        lambda: m.add_constraint("c", terms, "<=", 1))
+        for add_row in (lambda: m.add_constraint("c", terms, "<=", 1), batch(terms)):
+            _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in c",
+                            add_row)
         _raises_exactly(UnrepresentableCoefficientError, "non-finite coefficient in objective",
                         lambda: m.set_objective("max", terms))
-    assert [con.name for con in m.constraints] == ["ok"]
-    assert [len(m._row_names), len(m._row_terms), len(m._row_tails), len(m._tails)] == \
-        [1, 1, 1, 1]
+    _raises_exactly(ValueError, "bad sense '<'",
+                    lambda: m.add_constraints([("c", [(1, "zz")], "<", nan)]))
+    _raises_exactly(TypeError, "constraint name 7 is not a str",
+                    lambda: m.add_constraints([(7, [(1, "zz")], "<", nan)]))
+    assert m.constraints == [Constraint("ok", ((1, "a"), (2, "b")), "<=", 1)] + \
+        [Constraint("kept", ((1, "a"),), "<=", 1)] * 5
     assert m.objective_terms == ((1, "a"),) and m.objective_sense == "min"
+    assert next(after)[0] == "after"
 
 
 def test_terms_stored_as_tuple_of_pairs():
@@ -401,7 +424,7 @@ def test_all_integer_terms_keep_the_callers_pairs():
 
 
 @pytest.mark.parametrize("first, later, stored_type", [
-    (2, 2.0, int), (0.5, Fraction(1, 2), Fraction),
+    (2, 2.0, int), (0.5, Fraction(1, 2), Fraction), (2, Fraction(2), int),
 ])
 def test_equal_pairs_resolve_to_the_first_stored(first, later, stored_type):
     m = _two_vars()
@@ -413,6 +436,13 @@ def test_equal_pairs_resolve_to_the_first_stored(first, later, stored_type):
     assert a == (first, "a") and type(a[0]) is stored_type
     assert a2 is a and a3 is a and m.objective_terms[0] is a
     assert b2 is b and b3 is b
+    # a batch maps equal pairs and tails to the stored ones too
+    m.add_constraints(iter([("c4", [(later, "a")], ">=", first),
+                            ("c5", ((later, "a"),), ">=", later)]))
+    (a4,), (a5,) = (con.terms for con in m.constraints[3:])
+    assert a4 is a and a5 is a
+    assert m.constraints[4].rhs is m.constraints[3].rhs == first
+    assert type(m.constraints[4].rhs) is stored_type
 
 
 def test_failed_rows_share_no_pairs():
@@ -469,7 +499,9 @@ def test_constraints_is_a_read_only_sequence_of_constraints():
     with pytest.raises(IndexError):
         view[3]
     # rows with equal (sense, rhs) share one tail, however the rhs was given
-    assert m._row_tails[0] is m._row_tails[2] and len(m._tails) == 2
+    m.add_constraint("c4", [(1, "a")], "<=", 10**20)
+    m.add_constraint("c5", [(1, "b")], "<=", 1e20)
+    assert view[4].rhs is view[3].rhs == 10**20
 
 
 def test_rows_enter_only_through_add_constraint():
