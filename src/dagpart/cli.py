@@ -228,8 +228,7 @@ def cmd_quantum(args) -> int:
             _emit({"emitted": args.emit_lp, "k_cap": k_cap})
             return EXIT_OK
         _, p, cut = _read_model_solution(model, args.solution)
-        used = sorted({s for s in p.assignment})
-        _emit({"k": len(used), "cut": str(cut),
+        _emit({"k": len(set(p.assignment)), "cut": str(cut),
                "part_qubits": part_qubit_counts(nq, p)})
         if args.out:
             part_mod.write_partition_file(p, args.out)
@@ -323,9 +322,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
     except (CycleDetectedError, SelfLoopError, DuplicateEdgeError) as exc:
         _log(f"invalid graph: {exc}")
         return EXIT_GRAPH
@@ -336,10 +332,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         _log(f"guard: {exc}")
         return EXIT_GUARD
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
-    except DagPartError as exc:
+    except (ValueError, OSError, DagPartError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
 

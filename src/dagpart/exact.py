@@ -9,7 +9,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .dag import Dag, part_order
-from .errors import InvalidWarmStartError, TooLargeError
+from .errors import InvalidWarmStartError, QubitCapacityInfeasibleError, TooLargeError
 from .partition import Partition, balance_bound, validate
 
 OPTIMAL = "optimal"
@@ -37,6 +37,22 @@ def check_qubits(g: Dag, nq, lm: int | None) -> None:
         raise ValueError("NQ masks given without L_m")
     if len(nq) != g.n:
         raise ValueError(f"NQ has {len(nq)} masks, graph has {g.n} vertices")
+
+
+def check_qubit_capacity(nq, lm: int) -> None:
+    """Raise QubitCapacityInfeasibleError if a vertex alone touches over lm qubits."""
+    for i, mask in enumerate(nq):
+        if mask.bit_count() > lm:
+            raise QubitCapacityInfeasibleError(
+                f"vertex {i} touches more than L_m={lm} qubits")
+
+
+def part_qubit_masks(nq, assignment, k: int) -> list[int]:
+    """Each of the k parts' qubit bitmask: the OR of its vertices' masks."""
+    masks = [0] * k
+    for i, s in enumerate(assignment):
+        masks[s] |= nq[i]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -98,12 +114,9 @@ def brute_force(g: Dag, k: int, eps=0, nq=None, lm: int | None = None) -> SolveR
             continue
         if len(part_order(k, adjacency)) < k:
             continue
-        if nq is not None:
-            used = [0] * k
-            for i, s in enumerate(assignment):
-                used[s] |= nq[i]
-            if any(mask.bit_count() > lm for mask in used):
-                continue
+        if nq is not None and any(
+                mask.bit_count() > lm for mask in part_qubit_masks(nq, assignment, k)):
+            continue
         best_cut = cut
         best_assignment = assignment
     if best_assignment is None:
@@ -204,11 +217,8 @@ def branch_and_bound(g: Dag, k: int, eps=0, warm: Partition | None = None,
             raise InvalidWarmStartError(
                 "warm start partition is infeasible: " + "; ".join(report.violations))
         if nq is not None:
-            for s, members in enumerate(warm.parts()):
-                used = 0
-                for i in members:
-                    used |= nq[i]
-                if used.bit_count() > lm:
+            for s, mask in enumerate(part_qubit_masks(nq, warm.assignment, k)):
+                if mask.bit_count() > lm:
                     raise InvalidWarmStartError(
                         f"warm start part {s} exceeds qubit capacity {lm}")
         best_cut = report.cut

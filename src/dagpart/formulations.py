@@ -15,15 +15,15 @@ in one call, as a generator of its rows in order.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from .dag import Dag, mask_vertices
-from .errors import AmbiguousAssignmentError, QubitCapacityInfeasibleError
-from .exact import BRUTE_FORCE_GUARD_BITS, guard_enumeration
+from .errors import AmbiguousAssignmentError
+from .exact import (BRUTE_FORCE_GUARD_BITS, check_qubit_capacity, check_qubits,
+                    guard_enumeration, part_qubit_masks)
 from .model import LinearModel, MAXIMIZE, MINIMIZE, evaluate
 from .partition import Partition, balance_bound, part_levels, to_fraction
 
@@ -433,13 +433,9 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     bound = balance_bound(g, k, opts.eps)
     if strategy not in ("incremental", "bigm"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if len(nq) != g.n:
-        raise ValueError(f"NQ has {len(nq)} masks, graph has {g.n} vertices")
+    check_qubits(g, nq, lm)
+    check_qubit_capacity(nq, lm)
     n_qubits = max((mask.bit_length() for mask in nq), default=0)
-    for i, mask in enumerate(nq):
-        if mask.bit_count() > lm:
-            raise QubitCapacityInfeasibleError(
-                f"vertex {i} touches more than L_m={lm} qubits")
     m = LinearModel(f"quantum-{strategy}")
     px, z = _proposed_core(m, g, k, bound, opts.relax_z)
     _finish(m, "quantum", g, opts, bound, MIN_CUT, z)
@@ -488,22 +484,13 @@ def build_formulation(name: str, g: Dag, opts: BuildOptions) -> LinearModel:
     return _BUILDERS[name](g, opts)
 
 
-# Integer fields that canonical_assignment reads after each variable's tag.
+# Integer fields that an encoder reads after each variable's tag.
 _ENCODED_FIELDS = {"x": 2, "z": 2, "y": 2, "pi": 1, "pq": 2, "u": 1}
 
-# Parsed variable names per model.  Callers encode many partitions of one
-# model (exhaustive_model_optimum encodes all k^n), so each name is split
-# once.  LinearModel only ever appends variables, so a parse that covers
-# every variable is still current.
-_ENCODABLE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-def _encodable_variables(m: LinearModel) -> list[tuple]:
-    """(name, tag, first field, second field or None) for every variable."""
-    parsed = _ENCODABLE.get(m)
-    if parsed is not None and len(parsed) == len(m.variables):
-        return parsed
-    parsed = []
+def _encoder(m: LinearModel, g: Dag):
+    """encode(p): `canonical_assignment(m, g, p)`, with m's names split once."""
+    parsed = []  # (name, tag, first field, second field or None)
     for var in m.variables:
         tag, *fields = var.name.split("_")
         width = _ENCODED_FIELDS.get(tag)
@@ -512,8 +499,35 @@ def _encodable_variables(m: LinearModel) -> list[tuple]:
                 f"cannot encode variable {var.name!r} for {m.meta['kind']}")
         ints = [int(f) for f in fields[:width]] + [None] * (2 - width)
         parsed.append((var.name, tag, *ints))
-    _ENCODABLE[m] = parsed
-    return parsed
+    same_part_z = m.meta["convention"] == MAX_INTERNAL
+    nq = m.meta.get("nq")
+
+    def encode(p: Partition) -> dict:
+        part = p.assignment
+        adjacency = {(part[u], part[v]) for u, v, _ in g.edges if part[u] != part[v]}
+        levels = qubits = None
+        out: dict[str, int] = {}
+        for name, tag, a, b in parsed:
+            if tag == "x":
+                out[name] = int(part[a] == b)
+            elif tag == "z":
+                same = part[a] == part[b]
+                out[name] = int(same if same_part_z else not same)
+            elif tag == "y":
+                out[name] = int((a, b) in adjacency)
+            elif tag == "pi":
+                if levels is None:
+                    levels = part_levels(g, p) or list(range(p.k))
+                out[name] = levels[a]
+            elif tag == "pq":
+                if qubits is None:  # parts that p lacks and m has stay empty
+                    qubits = part_qubit_masks(nq, part, max(p.k, m.meta["k"]))
+                out[name] = qubits[a] >> b & 1
+            else:  # "u"
+                out[name] = int(a in part)
+        return out
+
+    return encode
 
 
 def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
@@ -521,35 +535,10 @@ def canonical_assignment(m: LinearModel, g: Dag, p: Partition) -> dict:
 
     x from the assignment; z as the cut indicator (min-cut models) or the
     same-part indicator (max-internal models); y as the quotient adjacency;
-    pi as a topological part numbering; pq/u from part contents.
+    pi as a topological part numbering; pq_s_q as whether part s touches
+    qubit q; u from part contents.  Each call reads m's variables afresh.
     """
-    same_part_z = m.meta["convention"] == MAX_INTERNAL
-    part = p.assignment
-    adjacency = set()
-    for u, v, _ in g.edges:
-        if part[u] != part[v]:
-            adjacency.add((part[u], part[v]))
-    levels = None
-    nq = m.meta.get("nq")
-    out: dict[str, int] = {}
-    for name, tag, a, b in _encodable_variables(m):
-        if tag == "x":
-            out[name] = int(part[a] == b)
-        elif tag == "z":
-            same = part[a] == part[b]
-            out[name] = int(same if same_part_z else not same)
-        elif tag == "y":
-            out[name] = int((a, b) in adjacency)
-        elif tag == "pi":
-            if levels is None:
-                levels = part_levels(g, p) or list(range(p.k))
-            out[name] = levels[a]
-        elif tag == "pq":
-            out[name] = int(any(part[i] == a and nq[i] >> b & 1
-                                for i in range(g.n)))
-        else:  # "u"
-            out[name] = int(a in part)
-    return out
+    return _encoder(m, g)(p)
 
 
 def assignment_min_cut(m: LinearModel, a) -> Fraction:
@@ -579,17 +568,18 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag):
 
     Returns (min_cut, partition) for the best feasible encoding, or
     (None, None) when no encoding is feasible.  Raises TooLargeError where
-    brute_force would.
+    brute_force would.  Each variable name is split once, for all k^n
+    encodings.
     """
     n, k = m.meta["n"], m.meta["k"]
     guard_enumeration(n, k, BRUTE_FORCE_GUARD_BITS, "exhaustive model search")
+    encode = _encoder(m, g)
     maximize = m.objective_sense == MAXIMIZE
     best_obj = None
     best_p = None
     for assignment in product(range(k), repeat=n):
         p = Partition(assignment, k)
-        a = canonical_assignment(m, g, p)
-        res = evaluate(m, a, early_exit=True)
+        res = evaluate(m, encode(p), early_exit=True)
         if not res.feasible:
             continue
         if best_obj is None or (res.objective > best_obj if maximize
@@ -598,5 +588,4 @@ def exhaustive_model_optimum(m: LinearModel, g: Dag):
             best_p = p
     if best_p is None:
         return None, None
-    canonical = canonical_assignment(m, g, best_p)
-    return assignment_min_cut(m, canonical), best_p
+    return assignment_min_cut(m, encode(best_p)), best_p

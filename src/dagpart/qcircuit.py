@@ -11,10 +11,10 @@ from .errors import (
     CircuitParseError,
     EmptyCircuitError,
     NoFeasibleKError,
-    QubitCapacityInfeasibleError,
     UnknownQubitError,
 )
-from .exact import OPTIMAL, STOPPED, SolveBudget, branch_and_bound, brute_force
+from .exact import (OPTIMAL, STOPPED, SolveBudget, branch_and_bound, brute_force,
+                    check_qubit_capacity, part_qubit_masks)
 from .partition import Partition
 
 
@@ -99,18 +99,6 @@ def circuit_to_dag(c: Circuit, entry_exit_weight: int = 0):
     return Dag(weights, edges), tuple(nq)
 
 
-def unique_qubits(nq, vertices) -> int:
-    """Number of distinct qubits touched by the given vertices."""
-    used = 0
-    for i in vertices:
-        used |= nq[i]
-    return used.bit_count()
-
-
-def max_gate_arity(nq) -> int:
-    return max((mask.bit_count() for mask in nq), default=0)
-
-
 def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",
                         budget: SolveBudget | None = None):
     """Smallest k admitting a balanced acyclic partition with per-part unique
@@ -123,9 +111,7 @@ def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",
     """
     if engine not in ("brute", "bnb"):
         raise ValueError(f"unknown engine {engine!r}")
-    if lm < max_gate_arity(nq):
-        raise QubitCapacityInfeasibleError(
-            f"a single gate touches more than L_m={lm} qubits")
+    check_qubit_capacity(nq, lm)
     for k in range(1, g.n + 1):
         if engine == "brute":
             result = brute_force(g, k, eps, nq=nq, lm=lm)
@@ -141,4 +127,4 @@ def min_parts_partition(g: Dag, nq, eps=0, lm: int = 0, engine: str = "bnb",
 
 def part_qubit_counts(nq, p: Partition) -> list[int]:
     """Unique qubits used by each part, for reporting."""
-    return [unique_qubits(nq, members) for members in p.parts()]
+    return [mask.bit_count() for mask in part_qubit_masks(nq, p.assignment, p.k)]

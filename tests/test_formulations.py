@@ -33,6 +33,7 @@ from dagpart.errors import (
 from dagpart.formulations import (MAX_INTERNAL, a_prime_value, chained_triples,
                                   compute_A)
 from dagpart.model import BINARY, INTEGER
+from dagpart.qcircuit import part_qubit_counts
 
 from conftest import (
     all_partitions,
@@ -155,8 +156,8 @@ def test_canonical_assignment_round_trip():
 
 
 def test_canonical_assignment_sees_variables_added_later():
-    # names are parsed once per model; a variable added afterwards must
-    # still be encoded, and an unknown tag still rejected
+    # each call reads the model's variables afresh, so a variable added
+    # after an earlier call is encoded, and an unknown tag still rejected
     g = chain(3)
     m = build_proposed(g, BuildOptions(k=2))
     p = Partition((0, 0, 1), 2)
@@ -260,6 +261,38 @@ def test_quantum_canonical_capacity_violation_detected():
     assert any("capacity" in v for v in res.violations)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_quantum_canonical_pq_is_part_qubit_union(seed):
+    # on every partition into k <= 3 parts, pq_s_q is 1 exactly when some
+    # vertex of part s touches qubit q, and part_qubit_counts reports how
+    # many such q part s has
+    rng = random.Random(seed)
+    qubits = "abc"[:rng.randint(2, 3)]
+    # n = gates + 2 * qubits: 7 vertices in 3 parts, or 8 in 2
+    gates, k = (3, 3) if len(qubits) == 2 else (2, 2)
+    text = "".join(f"g {' '.join(rng.sample(qubits, rng.randint(1, 2)))}\n"
+                   for _ in range(gates))
+    circuit = parse_circuit(text)
+    g, nq = circuit_to_dag(circuit)
+    n_qubits = len(circuit.qubits)
+    m = build_quantum(g, BuildOptions(k=k, eps=3), nq, lm=3)
+
+    def pq_values(p):
+        point = canonical_assignment(m, g, p)
+        return {name: v for name, v in point.items() if name.startswith("pq_")}
+
+    for p in all_partitions(g.n, k):
+        touched = [[int(any(p.assignment[i] == s and nq[i] >> q & 1
+                            for i in range(g.n))) for q in range(n_qubits)]
+                   for s in range(k)]
+        assert pq_values(p) == {f"pq_{s}_{q}": touched[s][q]
+                                for s in range(k) for q in range(n_qubits)}
+        assert part_qubit_counts(nq, p) == [sum(row) for row in touched]
+    # a partition into fewer parts than the model's leaves the rest empty
+    assert pq_values(Partition((0,) * g.n, 1)) == {
+        f"pq_{s}_{q}": int(s == 0) for s in range(k) for q in range(n_qubits)}
+
+
 def test_formulation_agreement_noniso_n3():
     for g in noniso_dags(3):
         oracle = brute_force(g, 2, 0)
@@ -349,6 +382,28 @@ def test_a_prime_no_double_count():
     g = diamond()
     # triple (0, 1, 3): path 0->3 also runs through 2, so 2 is counted once
     assert a_prime_value(g, 0, 1, 3) == 4
+
+
+def test_triples_table_keys_are_chained():
+    # (0, 1, 2) is absent: 1 does not reach 2
+    assert set(chained_triples(diamond())) == {(0, 1, 3), (0, 2, 3)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_prime_of_chained_triple_is_A(seed):
+    # every vertex on an i->j or j->l path, and j itself, lies on an i->l
+    # path, so A' adds nothing over A on chained triples
+    rng = random.Random(seed)
+    g = random_dag(rng, rng.randint(6, 14), p=rng.choice((0.2, 0.4, 0.6)), max_w=5)
+    labels = list(range(g.n))
+    rng.shuffle(labels)   # make vertex-id order differ from topological order
+    g = Dag([g.w[labels.index(v)] for v in range(g.n)],
+            [(labels[u], labels[v], c) for u, v, c in g.edges])
+    A = compute_A(g)
+    triples = chained_triples(g)
+    assert triples
+    for i, j, l in triples:
+        assert a_prime_value(g, i, j, l) == A[(i, l)]
 
 
 def _assert_equal_pairs_are_one_object(m):

@@ -1,7 +1,8 @@
 import pytest
 
-from dagpart import (Dag, SolveBudget, brute_force, circuit_to_dag,
-                     min_parts_partition, parse_circuit)
+from dagpart import (BuildOptions, Dag, Partition, SolveBudget, brute_force,
+                     build_quantum, circuit_to_dag, min_parts_partition,
+                     parse_circuit)
 from dagpart.errors import (
     BudgetExhaustedError,
     CircuitParseError,
@@ -9,7 +10,7 @@ from dagpart.errors import (
     NoFeasibleKError,
     QubitCapacityInfeasibleError,
 )
-from dagpart.qcircuit import max_gate_arity, part_qubit_counts, unique_qubits
+from dagpart.qcircuit import part_qubit_counts
 
 GHZ = """\
 # prepare a GHZ state
@@ -44,7 +45,7 @@ def test_circuit_to_dag_shape():
     assert g.m == 8
     assert nq[1] == 0b011         # cx q0 q1
     assert nq[3] == 0b001         # q0 entry
-    assert max_gate_arity(nq) == 2
+    assert max(mask.bit_count() for mask in nq) == 2
 
 
 def test_circuit_to_dag_merges_shared_qubit_edges():
@@ -68,9 +69,8 @@ def test_empty_circuit_rejected():
 
 def test_unique_qubits():
     nq = (0b01, 0b11, 0b10)
-    assert unique_qubits(nq, [0]) == 1
-    assert unique_qubits(nq, [0, 2]) == 2
-    assert unique_qubits(nq, []) == 0
+    assert part_qubit_counts(nq, Partition((0, 1, 1), 2)) == [1, 2]
+    assert part_qubit_counts(nq, Partition((0, 1, 0), 3)) == [2, 2, 0]
 
 
 def test_min_parts_matches_brute_force_scan():
@@ -99,8 +99,12 @@ def test_min_parts_budget_stop_is_not_infeasible():
 
 def test_min_parts_capacity_guard():
     g, nq = circuit_to_dag(parse_circuit("ccx a b c\n"))
-    with pytest.raises(QubitCapacityInfeasibleError):
+    with pytest.raises(QubitCapacityInfeasibleError) as solved:
         min_parts_partition(g, nq, lm=2)
+    # the model builder runs the same check, so it reports the same error
+    with pytest.raises(QubitCapacityInfeasibleError) as built:
+        build_quantum(g, BuildOptions(k=2), nq, lm=2)
+    assert str(solved.value) == str(built.value)
 
 
 def test_min_parts_engine_validation():
