@@ -228,8 +228,10 @@ def cmd_quantum(args) -> int:
             _emit({"emitted": args.emit_lp, "k_cap": k_cap})
             return EXIT_OK
         _, p, cut = _read_model_solution(model, args.solution)
-        _emit({"k": len(set(p.assignment)), "cut": str(cut),
-               "part_qubits": part_qubit_counts(nq, p)})
+        # p.k is the cap: report the parts the solution uses, in part order
+        used, counts = sorted(set(p.assignment)), part_qubit_counts(nq, p)
+        _emit({"k": len(used), "cut": str(cut),
+               "part_qubits": [counts[s] for s in used]})
         if args.out:
             part_mod.write_partition_file(p, args.out)
         return EXIT_OK

@@ -5,12 +5,14 @@ assignments.
 All builders produce a LinearModel over the shared variable naming scheme
 x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
 for z follow topological position order, so "i before j" always means
-pos[i] < pos[j].  A builder formats each x, z and y name once, and makes
-each unit term pair on them, such as `(1, x_i_s)` or `(-1, z_i_j)`, once;
-every row that uses a pair passes that one tuple.  Each large row family
-(`tri*`, `xtri*`/`xchain*`/`xpair3`, `topo1`/`topo2`, `acyc2`,
-`samepart`/`zlink`, `induced`) is handed to `LinearModel.add_constraints`
-in one call, as a generator of its rows in order.
+pos[i] < pos[j].  A builder formats each x, z and y name once, and turns
+each table of unit term pairs on them, such as `(1, x_i_s)` or
+`(-1, z_i_j)`, into an id table once per build with `LinearModel.pair_ids`,
+which checks each pair as it enters the model's pair table; its `(sense,
+rhs)` tails come from `LinearModel.tail`.  A row is its name, a tuple of
+ids and a tail, and each row family goes to `LinearModel._add_rows` in one
+call, the large ones (`tri*`, `xtri*`/`xchain*`/`xpair3`, `topo*`,
+`acyc2`, `samepart`/`zlink`, `induced`) as generators of their rows.
 """
 
 from __future__ import annotations
@@ -65,19 +67,15 @@ def _u(s):
 def _add_common(m: LinearModel, g: Dag, k: int, bound: int):
     """x variables, one-part-per-vertex, and balance constraints.
 
-    Returns the build's shared unit x pairs: `px[i][s]` is `(1, x_i_s)` and
-    `nx[i][s]` is `(-1, x_i_s)`."""
-    names = [[_x(i, s) for s in range(k)] for i in range(g.n)]
-    for row in names:
-        for name in row:
-            m.add_binary(name)
-    px = [[(1, name) for name in row] for row in names]
-    nx = [[(-1, name) for name in row] for row in names]
-    for i in range(g.n):
-        m.add_constraint(f"onepart_{i}", px[i], "=", 1)
-    for s in range(k):
-        m.add_constraint(f"balance_{s}",
-                         [(g.w[i], names[i][s]) for i in range(g.n)], "<=", bound)
+    Returns the build's x id tables: `px[i][s]` is the id of `(1, x_i_s)`
+    and `nx[i][s]` that of `(-1, x_i_s)`, each `px[i]` and `nx[i]` a
+    tuple."""
+    names = [[m.add_binary(_x(i, s)) for s in range(k)] for i in range(g.n)]
+    px = [m.pair_ids([(1, name) for name in row]) for row in names]
+    nx = [m.pair_ids([(-1, name) for name in row]) for row in names]
+    m._add_rows((f"onepart_{i}", px[i], m.tail("=", 1)) for i in range(g.n))
+    m._add_rows((f"balance_{s}", m.pair_ids([(w, row[s]) for w, row in zip(g.w, names)]),
+                 m.tail("<=", bound)) for s in range(k))
     return px, nx
 
 
@@ -94,43 +92,44 @@ def _add_zs(m: LinearModel, zpairs, relax_z: bool) -> dict:
     return names
 
 
-def _with_coef(coef, names: dict) -> dict:
-    """The shared pair `(coef, name)` for every name of a table."""
-    return {key: (coef, name) for key, name in names.items()}
+def _id_table(m: LinearModel, coef, names: dict) -> dict:
+    """The id of the pair `(coef, name)` for every name of a table, under
+    the table's keys."""
+    return dict(zip(names, m.pair_ids([(coef, name) for name in names.values()])))
 
 
 def _add_y(m: LinearModel, k: int) -> dict:
     """Binary y_s_t for every ordered pair of distinct parts; returns each
     pair's name."""
-    names = {(s, t): _y(s, t) for s in range(k) for t in range(k) if s != t}
-    for name in names.values():
-        m.add_binary(name)
-    return names
+    return {(s, t): m.add_binary(_y(s, t)) for s in range(k) for t in range(k) if s != t}
 
 
 def _add_induced(m: LinearModel, g: Dag, px, y: dict) -> None:
     """An edge from part s to part t forces y_s_t = 1."""
-    parts = [(s, t, f"{s}_{t}", pair) for (s, t), pair in _with_coef(-1, y).items()]
+    parts = [(s, t, f"{s}_{t}", ny) for (s, t), ny in _id_table(m, -1, y).items()]
+    le1 = m.tail("<=", 1)
 
     def rows():
         for u, v, _ in g.edges:
             head, xu, xv = f"induced_{u}_{v}_", px[u], px[v]
-            for s, t, tail, ny in parts:
-                yield head + tail, (xu[s], xv[t], ny), "<=", 1
+            for s, t, suffix, ny in parts:
+                yield head + suffix, (xu[s], xv[t], ny), le1
 
-    m.add_constraints(rows())
+    m._add_rows(rows())
 
 
 def _add_same_part(m: LinearModel, prefix: str, pz: dict, px, nx) -> None:
     """Same-part z rows: z = 1 claims i and j share a part; without these rows
     nothing pins z to 0 on a cut edge, and a solver could claim a false cut."""
+    le1 = m.tail("<=", 1)
+
     def rows():
         for (i, j), zij in pz.items():
             head = f"{prefix}_{i}_{j}_"
             for s, (xis, xjs) in enumerate(zip(px[i], nx[j])):
-                yield f"{head}{s}", (zij, xis, xjs), "<=", 1
+                yield f"{head}{s}", (zij, xis, xjs), le1
 
-    m.add_constraints(rows())
+    m._add_rows(rows())
 
 
 def _finish(m: LinearModel, kind: str, g: Dag, opts: BuildOptions,
@@ -211,14 +210,11 @@ def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
     m = LinearModel("undirected")
     px, nx = _add_common(m, g, k, bound)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], opts.relax_z)
-    nz = _with_coef(-1, z)
-    for u, v, _ in g.edges:
-        nzuv = nz[u, v]
-        for s in range(k):
-            # two-sided linearization of z >= |x_us - x_vs|
-            head = f"cut_{u}_{v}_{s}"
-            m.add_constraint(head + "_lo", (px[u][s], nx[v][s], nzuv), "<=", 0)
-            m.add_constraint(head + "_hi", (px[v][s], nx[u][s], nzuv), "<=", 0)
+    nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
+    # two-sided linearization of z >= |x_us - x_vs|
+    m._add_rows((f"cut_{u}_{v}_{s}_{side}", (px[a][s], nx[b][s], nz[u, v]), le0)
+                for u, v, _ in g.edges for s in range(k)
+                for side, a, b in (("lo", u, v), ("hi", v, u)))
     _finish(m, "undirected", g, opts, bound, MIN_CUT, z)
     return m
 
@@ -233,22 +229,19 @@ def build_proposed(g: Dag, opts: BuildOptions) -> LinearModel:
 
 
 def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool):
-    """The rows `proposed` and the quantum models share; returns the unit x
-    pairs and the z names."""
+    """The rows `proposed` and the quantum models share; returns the x id
+    table `px` and the z names."""
     px, nx = _add_common(m, g, k, bound)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], relax_z)
     y = _add_y(m, k)
-    nz = _with_coef(-1, z)
-    for u, v, _ in g.edges:
-        head, nzuv = f"cutmark_{u}_{v}_", nz[u, v]
-        for s in range(k):
-            # single-sided cut marking; sufficient at optimality because the
-            # y constraints force part(u) <= part(v) along every edge
-            m.add_constraint(f"{head}{s}", (px[v][s], nx[u][s], nzuv), "<=", 0)
+    nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
+    # single-sided cut marking; sufficient at optimality because the y
+    # constraints force part(u) <= part(v) along every edge
+    m._add_rows((f"cutmark_{u}_{v}_{s}", (px[v][s], nx[u][s], nz[u, v]), le0)
+                for u, v, _ in g.edges for s in range(k))
     _add_induced(m, g, px, y)
-    for s in range(k):
-        for t in range(s):
-            m.add_constraint(f"lowertri_{s}_{t}", [(1, y[s, t])], "=", 0)
+    m._add_rows((f"lowertri_{s}_{t}", m.pair_ids([(1, y[s, t])]), m.tail("=", 0))
+                for s in range(k) for t in range(s))
     return px, z
 
 
@@ -268,30 +261,28 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     for name in pi:
         m.add_integer(name, 0, k - 1)
 
-    pz, nz, twoz = _with_coef(1, z), _with_coef(-1, z), _with_coef(2, z)
+    pz, nz, twoz = _id_table(m, 1, z), _id_table(m, -1, z), _id_table(m, 2, z)
     _add_same_part(m, "samepart", pz, px, nx)
+    le1, le0 = m.tail("<=", 1), m.tail("<=", 0)
 
     def tri_rows():
         for i, j, h in triples:
             ij, jh, ih = (i, j), (j, h), (i, h)
-            tail = f"_{i}_{j}_{h}"
-            yield "tri1" + tail, (pz[ij], pz[jh], nz[ih]), "<=", 1
-            yield "tri2" + tail, (pz[ij], nz[jh], pz[ih]), "<=", 1
-            yield "tri3" + tail, (nz[ij], pz[jh], pz[ih]), "<=", 1
-            yield "tri4" + tail, (pz[ih], nz[ij]), "<=", 0
-            yield "tri5" + tail, (twoz[ih], nz[ij], nz[jh]), "<=", 0
+            suffix = f"_{i}_{j}_{h}"
+            yield "tri1" + suffix, (pz[ij], pz[jh], nz[ih]), le1
+            yield "tri2" + suffix, (pz[ij], nz[jh], pz[ih]), le1
+            yield "tri3" + suffix, (nz[ij], pz[jh], pz[ih]), le1
+            yield "tri4" + suffix, (pz[ih], nz[ij]), le0
+            yield "tri5" + suffix, (twoz[ih], nz[ij], nz[jh]), le0
 
-    m.add_constraints(tri_rows())
+    m._add_rows(tri_rows())
     _add_induced(m, g, px, y)
     # big-M must cover the widest possible pi gap, which is k-1 when k > n
     big_m = max(g.n, k)
-    for (s, t), name in y.items():
-        m.add_constraint(f"mtz_{s}_{t}", [(big_m, name), (-1, pi[t]), (1, pi[s])],
-                         "<=", big_m - 1)
-    for s in range(1, k):
-        terms = [px[i][s] for i in range(g.n)]
-        terms += [nx[i][s - 1] for i in range(g.n)]
-        m.add_constraint(f"symmetry_{s}", terms, "<=", 0)
+    m._add_rows((f"mtz_{s}_{t}", m.pair_ids([(big_m, name), (-1, pi[t]), (1, pi[s])]),
+                 m.tail("<=", big_m - 1)) for (s, t), name in y.items())
+    m._add_rows((f"symmetry_{s}", tuple(row[s] for row in px)
+                 + tuple(row[s - 1] for row in nx), le0) for s in range(1, k))
 
     _finish(m, "nossack", g, opts, bound, MAX_INTERNAL, z)
     return m
@@ -324,7 +315,7 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
     m = LinearModel(f"albareda-{variant}")
     px, nx = _add_common(m, g, k, bound)
     z = _add_zs(m, zpairs, opts.relax_z)
-    pz, nz = _with_coef(1, z), _with_coef(-1, z)
+    pz, le1 = _id_table(m, 1, z), m.tail("<=", 1)
 
     def prefix_lt(i, s):  # sum_{t < s} x_it
         return px[i][:s]
@@ -343,21 +334,18 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                 else:
                     head, prefix_j = f"topo1_{i}_{j}_", prefix_lt
                 for s in range(k):
-                    yield f"{head}{s}", prefix_ge(i, s) + prefix_j(j, s), "<=", 1
+                    yield f"{head}{s}", prefix_ge(i, s) + prefix_j(j, s), le1
 
-        m.add_constraints(topo_rows())
+        m._add_rows(topo_rows())
         # topo3 is generated for every edge, not only heavy pairs as printed:
         # it is what pins z on cut edges, and it is valid regardless of A vs B
-        for u, v, _ in g.edges:
-            head, pzuv = f"topo3_{u}_{v}_", [pz[u, v]]
-            for s in range(k):
-                m.add_constraint(f"{head}{s}", pzuv + prefix_lt(u, s) + prefix_ge(v, s),
-                                 "<=", 2)
+        m._add_rows((f"topo3_{u}_{v}_{s}", (pz[u, v],) + prefix_lt(u, s) + prefix_ge(v, s),
+                     m.tail("<=", 2)) for u, v, _ in g.edges for s in range(k))
 
     if variant in ("extended", "final"):
-        for (i, j), zij in pz.items():
-            if a_tab[(i, j)] > bound:
-                m.add_constraint(f"fixz_{i}_{j}", (zij,), "=", 0)
+        nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
+        m._add_rows((f"fixz_{i}_{j}", (zij,), m.tail("=", 0)) for (i, j), zij in pz.items()
+                    if a_tab[(i, j)] > bound)
 
         # a chained triple has a_il >= max(a_ij, a_jl) (see compute_A), so
         # xchain1 needs no test of a_ij, and the printed xpair1 (a_jl > bound
@@ -366,19 +354,19 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
             for i, j, l in triples:
                 ij, jl, il = (i, j), (j, l), (i, l)
                 a_ij, a_jl, a_il = a_tab[ij], a_tab[jl], a_tab[il]
-                tail = f"_{i}_{j}_{l}"
+                suffix = f"_{i}_{j}_{l}"
                 if a_ij > bound:
-                    yield "xtri1" + tail, (pz[ij], pz[jl], nz[il]), "<=", 1
-                    yield "xtri2" + tail, (pz[il], pz[jl], nz[ij]), "<=", 1
-                    yield "xtri3" + tail, (pz[ij], pz[il], nz[jl]), "<=", 1
+                    yield "xtri1" + suffix, (pz[ij], pz[jl], nz[il]), le1
+                    yield "xtri2" + suffix, (pz[il], pz[jl], nz[ij]), le1
+                    yield "xtri3" + suffix, (pz[ij], pz[il], nz[jl]), le1
                 if a_il <= bound:
-                    yield "xchain1" + tail, (pz[il], nz[ij]), "<=", 0
+                    yield "xchain1" + suffix, (pz[il], nz[ij]), le0
                 if a_ij <= bound and a_jl <= bound:
-                    yield "xchain2" + tail, (pz[il], nz[jl]), "<=", 0
+                    yield "xchain2" + suffix, (pz[il], nz[jl]), le0
                     if a_il > bound:
-                        yield "xpair3" + tail, (pz[ij], pz[jl]), "<=", 1
+                        yield "xpair3" + suffix, (pz[ij], pz[jl]), le1
 
-        m.add_constraints(triple_rows())
+        m._add_rows(triple_rows())
 
     if variant == "final":
         earlier = [_in_topo_order(g, anc) for anc in g.ancestor_masks]
@@ -386,7 +374,10 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
         for i in range(g.n):
             terms = [(g.w[j], z[j, i]) for j in earlier[i]]
             terms += [(g.w[j], z[i, j]) for j in later[i]]
-            m.add_constraint(f"weightcap_{i}", terms, "<=", bound - g.w[i])
+            m._add_rows([(f"weightcap_{i}", m.pair_ids(terms),
+                          m.tail("<=", bound - g.w[i]))])
+
+        le3 = m.tail("<=", 3)
         for i in range(g.n):
             reach_i = later[i]
             for a in range(len(reach_i)):
@@ -398,19 +389,18 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                         continue
                     if a_prime_value(g, i, j, l) <= bound:
                         continue
-                    head, zs = f"acyc1_{i}_{j}_{l}_", [pz[i, j], pz[i, l]]
-                    for s in range(k):
-                        terms = zs + prefix_ge(j, s) + prefix_ge(l, s) + prefix_lt(i, s)
-                        m.add_constraint(f"{head}{s}", terms, "<=", 3)
+                    head, zs = f"acyc1_{i}_{j}_{l}_", (pz[i, j], pz[i, l])
+                    m._add_rows((f"{head}{s}", zs + prefix_ge(j, s) + prefix_ge(l, s)
+                                 + prefix_lt(i, s), le3) for s in range(k))
         # ordering constraints for every reachable pair; z = 1 relaxes them,
         # z fixed to 0 for heavy pairs recovers the strict ordering
         def acyc2_rows():
             for i, j in pairs:
-                head, nzij = f"acyc2_{i}_{j}_", [nz[i, j]]
+                head, nzij = f"acyc2_{i}_{j}_", (nz[i, j],)
                 for s in range(k):
-                    yield f"{head}{s}", nzij + prefix_ge(i, s) + prefix_le(j, s), "<=", 1
+                    yield f"{head}{s}", nzij + prefix_ge(i, s) + prefix_le(j, s), le1
 
-        m.add_constraints(acyc2_rows())
+        m._add_rows(acyc2_rows())
         _add_same_part(m, "zlink", pz, px, nx)
 
     _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL, z)
@@ -439,26 +429,20 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     m = LinearModel(f"quantum-{strategy}")
     px, z = _proposed_core(m, g, k, bound, opts.relax_z)
     _finish(m, "quantum", g, opts, bound, MIN_CUT, z)
-    for s in range(k):
-        for q in range(n_qubits):
-            m.add_binary(_pq(s, q))
-    for i in range(g.n):
-        for q in mask_vertices(nq[i]):
-            for s in range(k):
-                m.add_constraint(f"qubit_{i}_{q}_{s}",
-                                 [px[i][s], (-1, _pq(s, q))], "<=", 0)
-    for s in range(k):
-        m.add_constraint(f"capacity_{s}",
-                         [(1, _pq(s, q)) for q in range(n_qubits)], "<=", lm)
+    pq = [[m.add_binary(_pq(s, q)) for q in range(n_qubits)] for s in range(k)]
+    npq, le0 = [m.pair_ids([(-1, name) for name in row]) for row in pq], m.tail("<=", 0)
+    m._add_rows((f"qubit_{i}_{q}_{s}", (px[i][s], npq[s][q]), le0)
+                for i in range(g.n) for q in mask_vertices(nq[i]) for s in range(k))
+    m._add_rows((f"capacity_{s}", m.pair_ids([(1, name) for name in row]),
+                 m.tail("<=", lm)) for s, row in enumerate(pq))
     if strategy == "bigm":
         big_m = 1 + g.total_cost
-        for s in range(k):
-            m.add_binary(_u(s))
-        for i in range(g.n):
-            for s in range(k):
-                m.add_constraint(f"used_{i}_{s}", [px[i][s], (-1, _u(s))], "<=", 0)
+        u = [m.add_binary(_u(s)) for s in range(k)]
+        nu = m.pair_ids([(-1, name) for name in u])
+        m._add_rows((f"used_{i}_{s}", (px[i][s], nu[s]), le0)
+                    for i in range(g.n) for s in range(k))
         # the part-used penalties come before the edge objective _finish set
-        terms = [(big_m, _u(s)) for s in range(k)]
+        terms = [(big_m, name) for name in u]
         m.set_objective(MINIMIZE, terms + list(m.objective_terms))
         m.meta["big_m"] = big_m
     m.meta.update({"nq": tuple(nq), "lm": lm, "strategy": strategy})

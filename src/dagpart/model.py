@@ -1,17 +1,20 @@
 """Solver-agnostic MILP container with LP emission, solution ingestion, evaluation.
 
 All arithmetic is exact and involves no floats.  Bounds and coefficients
-are normalised once, when a variable, a constraint or the objective is
+are normalised once, when a variable, a pair, a tail or the objective is
 added, and values once, when a solution is read or evaluated: a number
 that is integral is kept as a plain int, any other as a `Fraction` (a
-float becomes the `Fraction` of its exact binary value).  A model stores
-each distinct `(coef, name)` pair once, in a pair table: the first equal
-pair it checks gets the next pair id and is reused by every later row and
-the objective.  The rows are stored in blocks of 1,024 in CSR form: a
-block keeps its rows' pair ids in one flat list, one term count and one
-shared `(sense, rhs)` tail per row, each distinct tail stored once, and its
-row names joined in one string with an `array('I')` of where each name
-ends.  The `constraints` attribute is a read-only sequence of immutable
+float becomes the `Fraction` of its exact binary value).  A model checks
+terms and tails only where they enter its two tables.  The pair table
+stores each distinct `(coef, name)` pair once, under the next pair id, when
+`pair_ids` first checks an equal pair; every later equal pair, in a row or
+the objective, maps to that id.  The tail table stores each distinct
+`(sense, rhs)` tail once, checked by `tail`.  The rows are stored in blocks
+of 1,024 in CSR form: a block keeps its rows' pair ids in one flat list,
+one term count and one stored tail per row, and its row names joined in
+one string with an `array('I')` of where each name ends.  Builders append
+rows of ids and tails with `_add_rows`; `add_constraint` checks and adds
+one row.  The `constraints` attribute is a read-only sequence of immutable
 `Constraint`s made from the blocks on every read.  int and `Fraction`
 arithmetic mix without rounding, so `evaluate` checks constraints exactly
 after integrality rounding.
@@ -48,6 +51,8 @@ CONTINUOUS = "continuous"
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
+
+_SENSES = ("<=", ">=", "=")
 
 
 @dataclass(frozen=True)
@@ -176,9 +181,11 @@ class LinearModel:
 
     Variables and constraints are kept in declaration order, which fixes
     the byte layout of the emitted LP file.  Each distinct `(coef, name)`
-    pair is stored once in a pair table, and the rows are stored in blocks
-    of 1,024 as runs of pair ids, which only `add_constraints` appends to;
-    `constraints` reads them as `Constraint`s.
+    pair is stored once in a pair table and each distinct `(sense, rhs)`
+    tail once in a tail table; `pair_ids` and `tail` check what enters
+    them.  The rows are stored in blocks of 1,024 as runs of pair ids with
+    a stored tail, which `add_constraint` and the builders' `_add_rows`
+    append to; `constraints` reads them as `Constraint`s.
     """
 
     def __init__(self, name: str = "model"):
@@ -223,16 +230,6 @@ class LinearModel:
     def has_var(self, name: str) -> bool:
         return name in self._index
 
-    def _store_pairs(self, pairs: tuple) -> tuple:
-        """The ids of checked pairs.  A pair equal to a stored one maps to
-        that one's id; any other is stored under the next id."""
-        table, ids = self._pairs, self._pair_ids
-        for pair in pairs:
-            if pair not in ids:
-                ids[pair] = len(table)
-                table.append(pair)
-        return tuple(map(ids.__getitem__, pairs))
-
     def _check_terms(self, terms: tuple, row: str | None) -> tuple:
         """The terms as a tuple of `(coef, name)` pairs, in one pass that
         checks every name.  If every pair is a tuple with an int coefficient
@@ -253,52 +250,68 @@ class LinearModel:
         where = "objective" if row is None else row
         return tuple((_exact(coef, where), var_name) for coef, var_name in terms)
 
-    def add_constraints(self, rows) -> None:
-        """Check and store each `(name, terms, sense, rhs)` row of an
-        iterable, in one loop; `add_constraint` adds one row through it.
+    def pair_ids(self, terms, row: str | None = None) -> tuple:
+        """The ids of an iterable of `(coef, name)` pairs, in order, each the
+        table's own int object.  The pairs are checked as `_check_terms`
+        does, and a bad one raises before any is stored; a pair equal to a
+        stored one maps to its id, any other is stored under the next id.
+        `row` is the constraint error messages name; None names the
+        objective."""
+        table, ids = self._pairs, self._pair_ids
+        checked = self._check_terms(tuple(terms), row)
+        for pair in checked:
+            if pair not in ids:
+                ids[pair] = len(table)
+                table.append(pair)
+        return tuple(map(ids.__getitem__, checked))
 
-        A row's name must be a str; then its sense, the names of its terms,
-        their coefficients and its rhs are checked, in that order.  A bad
-        row raises and adds nothing: the rows before it stay, and the
-        iterable is not read past it.  A row whose pairs all equal stored
-        pairs maps to their ids; any other row's pairs are checked, and
-        stored once its rhs is checked too.
-        """
-        id_of, tails = self._pair_ids.__getitem__, self._tails
+    def tail(self, sense: str, rhs, row: str = "rhs") -> tuple:
+        """The stored `(sense, rhs)` tail equal to the given one, storing it
+        if it is new.  The sense must be "<=", ">=" or "="; an rhs that is
+        not an int is normalised by `_exact`, whose errors name `row`."""
+        if sense not in _SENSES:
+            raise ValueError(f"bad sense {sense!r}")
+        tail = (sense, rhs if type(rhs) is int else _exact(rhs, row))
+        return self._tails.setdefault(tail, tail)
+
+    def _add_rows(self, rows) -> None:
+        """Append each `(name, ids, tail)` row of an iterable to the blocks.
+        Only the name is checked, as a str, since a full block joins the
+        names: the ids must come from this model's `pair_ids` and the tail
+        from its `tail`, which checked them.  A row whose name is not a str
+        raises, and the rows before it stay."""
         block = self._blocks[-1]
-        for name, terms, sense, rhs in rows:
+        flat, counts, tails, names = block.ids, block.counts, block.tails, block.names
+        for name, ids, tail in rows:
             if not isinstance(name, str):
                 raise TypeError(f"constraint name {name!r} is not a str")
-            if sense not in ("<=", ">=", "="):
-                raise ValueError(f"bad sense {sense!r}")
-            # a one-shot iterable is read once, before any lookup
-            terms = tuple(terms)
-            try:
-                ids = tuple(map(id_of, terms))
-            except (KeyError, TypeError):  # a new pair, or an unhashable one
-                ids = None
-            if ids is None:
-                checked = self._check_terms(terms, name)
-            tail = (sense, rhs if type(rhs) is int else _exact(rhs, name))
-            if ids is None:
-                ids = self._store_pairs(checked)
-            block.ids += ids
-            block.counts.append(len(ids))
-            block.tails.append(tails.setdefault(tail, tail))
-            block.names.append(name)
-            if len(block.counts) == _ROWS_PER_BLOCK:
+            flat += ids
+            counts.append(len(ids))
+            tails.append(tail)
+            names.append(name)
+            if len(counts) == _ROWS_PER_BLOCK:
                 block.seal()
                 block = _Block()
                 self._blocks.append(block)
+                flat, counts, tails, names = block.ids, block.counts, block.tails, block.names
 
     def add_constraint(self, name: str, terms, sense: str, rhs) -> None:
-        self.add_constraints(((name, terms, sense, rhs),))
+        """Check and add one row: its name must be a str; then its sense, the
+        names of its terms, their coefficients and its rhs are checked, in
+        that order.  A bad row raises and adds no pair, tail or row."""
+        if not isinstance(name, str):
+            raise TypeError(f"constraint name {name!r} is not a str")
+        if sense not in _SENSES:
+            raise ValueError(f"bad sense {sense!r}")
+        # the terms are checked before the rhs, but stored only after it
+        terms = self._check_terms(tuple(terms), name)
+        tail = self.tail(sense, rhs, name)
+        self._add_rows(((name, self.pair_ids(terms, name), tail),))
 
     def set_objective(self, sense: str, terms) -> None:
         if sense not in (MINIMIZE, MAXIMIZE):
             raise ValueError(f"bad objective sense {sense!r}")
-        ids = self._store_pairs(self._check_terms(tuple(terms), None))
-        self.objective_terms = tuple(map(self._pairs.__getitem__, ids))
+        self.objective_terms = tuple(map(self._pairs.__getitem__, self.pair_ids(terms)))
         self.objective_sense = sense
 
 

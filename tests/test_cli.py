@@ -393,6 +393,26 @@ def test_quantum_bigm_emits_lp(capsys, tmp_path):
     assert "u_0" in text
 
 
+@pytest.mark.parametrize("assignment, part_qubits", [
+    ([2] * 9, [3]),
+    # GHZ's gates are vertices 0-2, its entries 3-5 and its exits 6-8
+    ([0, 0, 2, 0, 0, 2, 0, 2, 2], [2, 2]),
+], ids=["part 2 only", "parts 0 and 2"])
+def test_quantum_bigm_solution_reports_used_parts(capsys, tmp_path, assignment,
+                                                  part_qubits):
+    # a solution that leaves parts of the --k cap empty gets one qubit count
+    # per part it uses, in part order, so that len(part_qubits) == k
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(GHZ)
+    sol = tmp_path / "q.sol"
+    sol.write_text("".join(f"x_{i}_{s} 1\n" for i, s in enumerate(assignment)))
+    code, payload, _ = run(capsys, "quantum", "--circuit", str(circuit),
+                           "--lm", "3", "--strategy", "bigm", "--k", "3",
+                           "--emit-lp", str(tmp_path / "q.lp"), "--solution", str(sol))
+    assert code == 0
+    assert payload["k"] == len(part_qubits) and payload["part_qubits"] == part_qubits
+
+
 def test_quantum_bigm_requires_lp_path(capsys, tmp_path, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("model built before the usage check")
