@@ -42,7 +42,6 @@ from .model import LinearModel, evaluate, read_solution, write_lp
 from .multilevel import (
     coarsen,
     multilevel_partition,
-    project,
     refine_moves,
     uncoarsen_refine,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "write_lp",
     "coarsen",
     "multilevel_partition",
-    "project",
     "refine_moves",
     "uncoarsen_refine",
     "Partition",

@@ -93,10 +93,6 @@ class EmptyCircuitError(DagPartError):
     pass
 
 
-class InvalidProjectionError(DagPartError):
-    pass
-
-
 class NoFeasibleKError(DagPartError):
     pass
 

@@ -6,13 +6,14 @@ All builders produce a LinearModel over the shared variable naming scheme
 x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
 for z follow topological position order, so "i before j" always means
 pos[i] < pos[j].  A builder formats each x, z and y name once, and turns
-each table of unit term pairs on them, such as `(1, x_i_s)` or
-`(-1, z_i_j)`, into an id table once per build with `LinearModel.pair_ids`,
-which checks each pair as it enters the model's pair table; its `(sense,
-rhs)` tails come from `LinearModel.tail`.  A row is its name, a tuple of
-ids and a tail, and each row family goes to `LinearModel._add_rows` in one
-call, the large ones (`tri*`, `xtri*`/`xchain*`/`xpair3`, `topo*`,
-`acyc2`, `samepart`/`zlink`, `induced`) as generators of their rows.
+each table of unit term pairs on them that its rows read, such as
+`(1, x_i_s)` or `(-1, z_i_j)`, into an id table once per build with
+`LinearModel.pair_ids`, which checks each pair as it enters the model's
+pair table; its `(sense, rhs)` tails come from `LinearModel.tail`.  A row
+is its name, a tuple of ids and a tail, and each row family goes to
+`LinearModel._add_rows` in one call, the large ones (`tri*`,
+`xtri*`/`xchain*`/`xpair3`, `topo*`, `acyc2`, `samepart`/`zlink`,
+`induced`) as generators of their rows.
 """
 
 from __future__ import annotations
@@ -67,16 +68,20 @@ def _u(s):
 def _add_common(m: LinearModel, g: Dag, k: int, bound: int):
     """x variables, one-part-per-vertex, and balance constraints.
 
-    Returns the build's x id tables: `px[i][s]` is the id of `(1, x_i_s)`
-    and `nx[i][s]` that of `(-1, x_i_s)`, each `px[i]` and `nx[i]` a
-    tuple."""
+    Returns the x names, `names[i][s]` being x_i_s, and the id table `px`
+    of their `(1, x_i_s)` pairs; a builder whose rows read `(-1, x_i_s)`
+    makes that table by `_x_ids`."""
     names = [[m.add_binary(_x(i, s)) for s in range(k)] for i in range(g.n)]
-    px = [m.pair_ids([(1, name) for name in row]) for row in names]
-    nx = [m.pair_ids([(-1, name) for name in row]) for row in names]
+    px = _x_ids(m, names, 1)
     m._add_rows((f"onepart_{i}", px[i], m.tail("=", 1)) for i in range(g.n))
     m._add_rows((f"balance_{s}", m.pair_ids([(w, row[s]) for w, row in zip(g.w, names)]),
                  m.tail("<=", bound)) for s in range(k))
-    return px, nx
+    return names, px
+
+
+def _x_ids(m: LinearModel, names, coef) -> list[tuple]:
+    """The ids of the `(coef, x_i_s)` pairs, a tuple per vertex i."""
+    return [m.pair_ids([(coef, name) for name in row]) for row in names]
 
 
 def _add_zs(m: LinearModel, zpairs, relax_z: bool) -> dict:
@@ -208,7 +213,8 @@ def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("undirected")
-    px, nx = _add_common(m, g, k, bound)
+    names, px = _add_common(m, g, k, bound)
+    nx = _x_ids(m, names, -1)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], opts.relax_z)
     nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
     # two-sided linearization of z >= |x_us - x_vs|
@@ -231,7 +237,8 @@ def build_proposed(g: Dag, opts: BuildOptions) -> LinearModel:
 def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool):
     """The rows `proposed` and the quantum models share; returns the x id
     table `px` and the z names."""
-    px, nx = _add_common(m, g, k, bound)
+    names, px = _add_common(m, g, k, bound)
+    nx = _x_ids(m, names, -1)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], relax_z)
     y = _add_y(m, k)
     nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
@@ -250,7 +257,8 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     k = opts.k
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("nossack")
-    px, nx = _add_common(m, g, k, bound)
+    names, px = _add_common(m, g, k, bound)
+    nx = _x_ids(m, names, -1)
 
     triples = chained_triples(g)
     # z only for pairs the model actually references: edges and chained-triple
@@ -261,7 +269,9 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     for name in pi:
         m.add_integer(name, 0, k - 1)
 
-    pz, nz, twoz = _id_table(m, 1, z), _id_table(m, -1, z), _id_table(m, 2, z)
+    pz, nz = _id_table(m, 1, z), _id_table(m, -1, z)
+    # 2 z_i_h appears only in tri5, once per triple (i, j, h)
+    twoz = _id_table(m, 2, {(i, h): z[i, h] for i, _, h in triples})
     _add_same_part(m, "samepart", pz, px, nx)
     le1, le0 = m.tail("<=", 1), m.tail("<=", 0)
 
@@ -313,7 +323,7 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
     zpairs = pairs if variant == "final" else _z_pairs(g, triples)
 
     m = LinearModel(f"albareda-{variant}")
-    px, nx = _add_common(m, g, k, bound)
+    names, px = _add_common(m, g, k, bound)
     z = _add_zs(m, zpairs, opts.relax_z)
     pz, le1 = _id_table(m, 1, z), m.tail("<=", 1)
 
@@ -401,7 +411,7 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                     yield f"{head}{s}", nzij + prefix_ge(i, s) + prefix_le(j, s), le1
 
         m._add_rows(acyc2_rows())
-        _add_same_part(m, "zlink", pz, px, nx)
+        _add_same_part(m, "zlink", pz, px, _x_ids(m, names, -1))
 
     _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL, z)
     return m

@@ -413,8 +413,10 @@ def read_solution(m: LinearModel, text: str):
     """Parse solver output lines into an assignment over all model variables.
 
     Accepts `name value` and `name = value` lines, `#` comments, and skips
-    `=obj=`-style metadata lines.  Missing variables default to 0; unknown
-    names are collected as warnings rather than failing.
+    `=obj=`-style metadata lines.  A value with non-ASCII digits or `_`
+    digit grouping is rejected, as in the `.dag` and `.part` formats.
+    Missing variables default to 0; unknown names are collected as warnings
+    rather than failing.
 
     Returns (assignment dict, warnings list).
     """
@@ -429,6 +431,8 @@ def read_solution(m: LinearModel, text: str):
             raise SolutionParseError(f"expected '<name> <value>', got {raw!r}",
                                      line_no)
         name, value_text = tokens
+        if not value_text.isascii() or "_" in value_text:
+            raise SolutionParseError(f"bad numeric value {value_text!r}", line_no)
         try:
             value = int(value_text)
         except ValueError:

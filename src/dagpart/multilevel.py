@@ -14,17 +14,17 @@ geometrically and an n-vertex input gives O(log n) levels, not n / 4.  The
 pipeline caps a cluster's weight at half the balance bound, which leaves
 the coarsest graph room to pack.  A level's `Dag` is built only when it is
 read: the pipeline reads it only for each coarsest graph that it hands to
-branch and bound.  Each projected partition is refined by
-Fiduccia-Mattheyses passes that keep the part numbering topological
-(`refine_moves`); they read only the weights and the edges.  Only the input
-graph, whose partition is returned, is then polished by a warm-started
-branch and bound of FINEST_POLISH_FACTOR times the budget.
+branch and bound.  Uncoarsening projects a tuple of part ids, one lookup
+per vertex, and refines it by Fiduccia-Mattheyses passes that keep the part
+numbering topological (`refine_moves`), which read only weights and edges.
+Only the input graph, whose partition is returned, is then polished by a
+warm-started branch and bound of FINEST_POLISH_FACTOR times the budget.
 
-The levels between the input and the coarsest graph are therefore not
-checked by `Dag` at run time.  The output still is: `refine_moves` raises
-ValueError on a part numbering that is not topological at every level, and
-the final polish validates its warm start on the input graph before it
-searches.
+Neither the levels between the input and the coarsest graph nor the
+mappings that `coarsen` made are checked at run time.  The output still
+is: `refine_moves` raises ValueError on a part numbering that is not
+topological at every level, and the final polish validates its warm start,
+the pass's one `Partition`, on the input graph before it searches.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from typing import Sequence
 
 from .dag import Dag
-from .errors import (
-    BudgetExhaustedError,
-    InfeasibleInstanceError,
-    InvalidProjectionError,
-)
+from .errors import BudgetExhaustedError, InfeasibleInstanceError
 from .exact import INFEASIBLE, SolveBudget, branch_and_bound
 from .partition import Partition, balance_bound
 
@@ -94,11 +91,6 @@ def _contraction_safe(succ, position, u: int, v: int) -> set[int] | None:
     return seen
 
 
-def _check_target_n(target_n: int) -> None:
-    if target_n < 2:
-        raise ValueError(f"target_n must be >= 2, got {target_n}")
-
-
 def coarsen(g: Dag, target_n: int,
             max_weight: int | None = None) -> list[CoarseningLevel]:
     """Contract heavy edges one at a time while preserving acyclicity.
@@ -133,7 +125,8 @@ def coarsen(g: Dag, target_n: int,
     built here (see `CoarseningLevel.graph`).
     A level's mapping sends each vertex of the level above to its cluster.
     """
-    _check_target_n(target_n)
+    if target_n < 2:
+        raise ValueError(f"target_n must be >= 2, got {target_n}")
     weight = list(g.w)
     succ = [{b: g.cost[(a, b)] for b in g.succ[a]} for a in range(g.n)]
     pred = [set(g.pred[b]) for b in range(g.n)]
@@ -205,18 +198,6 @@ def coarsen(g: Dag, target_n: int,
     return levels
 
 
-def project(p_coarse: Partition, mapping, fine_n: int) -> Partition:
-    """Pull a coarse partition back through a fine->coarse mapping."""
-    if len(mapping) != fine_n:
-        raise InvalidProjectionError(
-            f"mapping covers {len(mapping)} vertices, expected {fine_n}")
-    coarse = p_coarse.assignment
-    for target in mapping:
-        if not (0 <= target < len(coarse)):
-            raise InvalidProjectionError(f"mapping target {target} out of range")
-    return Partition(tuple(coarse[mapping[i]] for i in range(fine_n)), p_coarse.k)
-
-
 def initial_partition(coarsest: Dag, k: int, eps=0,
                       budget: SolveBudget | None = None) -> Partition:
     """Partition the coarsest graph exactly by branch and bound.
@@ -236,8 +217,8 @@ def initial_partition(coarsest: Dag, k: int, eps=0,
     return result.partition
 
 
-def refine_moves(g: Dag | CoarseningLevel, p: Partition, k: int,
-                 bound: int) -> Partition:
+def refine_moves(g: Dag | CoarseningLevel, part: Sequence[int], k: int,
+                 bound: int) -> tuple[int, ...]:
     """Fiduccia-Mattheyses passes that keep part(u) <= part(v) on every edge.
 
     Vertex v may go to any part q between lo, the largest part among its
@@ -254,11 +235,12 @@ def refine_moves(g: Dag | CoarseningLevel, p: Partition, k: int,
     place.  A moved vertex is locked for the rest of the pass, and only its
     unlocked neighbours are scored again.  The pass then rolls back to its
     best prefix of moves, the earliest on ties.  Passes repeat until one
-    gains nothing, so every pass but the last lowers the cut.  Raises
-    ValueError unless p's numbering is topological to begin with.  Only g's
-    weights `w` and edges are read, so g may be a `CoarseningLevel`.
+    gains nothing, so every pass but the last lowers the cut.  `part` holds
+    one part id per vertex, and the moved ids are returned as a tuple.
+    Raises ValueError unless its numbering is topological to begin with.
+    Only g's weights `w` and edges are read, so g may be a `CoarseningLevel`.
     """
-    part = list(p.assignment)
+    part = list(part)
     n = len(g.w)
     preds = [[] for _ in range(n)]
     succs = [[] for _ in range(n)]
@@ -336,15 +318,17 @@ def refine_moves(g: Dag | CoarseningLevel, p: Partition, k: int,
             loads[here] += weight[v]
             part[v] = here
         if not best_len:
-            return Partition(tuple(part), k)
+            return tuple(part)
 
 
 def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
                      coarse_partition: Partition, k: int, eps=0,
                      budget_nodes: int = DEFAULT_REFINE_BUDGET) -> Partition:
-    """Project level by level and refine each finer graph by `refine_moves`,
-    then polish the input graph g, whose partition is returned, by branch
-    and bound warm-started from the moved partition.
+    """Project a tuple of part ids level by level, one lookup per vertex
+    through each mapping, and refine it on each finer graph by
+    `refine_moves`; then polish the input graph g, whose partition is
+    returned, by branch and bound warm-started from the moved ids, the one
+    `Partition` the pass builds.
 
     Only that one polish runs, capped at FINEST_POLISH_FACTOR times
     budget_nodes nodes, and it runs even when levels is empty.  Polishing
@@ -356,13 +340,12 @@ def uncoarsen_refine(g: Dag, levels: list[CoarseningLevel],
     """
     bound = balance_bound(g, k, eps)
     graphs = [g] + levels
-    current = coarse_partition
+    part = coarse_partition.assignment
     for idx in range(len(levels) - 1, -1, -1):
-        finer = graphs[idx]
-        current = project(current, levels[idx].mapping, len(finer.w))
-        current = refine_moves(finer, current, k, bound)
+        part = refine_moves(graphs[idx], [part[c] for c in levels[idx].mapping],
+                            k, bound)
     # a warm-started search always returns a partition, at worst the warm one
-    return branch_and_bound(g, k, eps, warm=current, budget=SolveBudget(
+    return branch_and_bound(g, k, eps, warm=Partition(part, k), budget=SolveBudget(
         max_nodes=budget_nodes * FINEST_POLISH_FACTOR)).partition
 
 
@@ -373,10 +356,9 @@ def multilevel_partition(g: Dag, k: int, eps=0, target_n: int = 8,
     info["levels"] counts the refined levels, not the contractions.  A failed
     initial solve steps back one level; info["fallbacks"] counts these steps
     by reason: "infeasible" (proven) or "budget" (the search ran out first).
-    When even the input graph fails, the last error is raised.  target_n
-    below 2 and a negative budget_nodes raise ValueError before any work.
+    When even the input graph fails, the last error is raised.  A negative
+    budget_nodes, or target_n below 2 (`coarsen`), raises ValueError first.
     """
-    _check_target_n(target_n)
     if budget_nodes < 0:
         raise ValueError(f"budget_nodes must be non-negative, got {budget_nodes}")
     # Clusters of at most half the balance bound leave the coarsest graph

@@ -34,8 +34,11 @@ class Partition:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidKError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
-        for i, a in enumerate(self.assignment):
+        given = tuple(self.assignment)
+        object.__setattr__(self, "assignment", tuple(map(int, given)))
+        for i, (a, x) in enumerate(zip(self.assignment, given)):
+            if a != x:
+                raise ValueError(f"non-integral part id {x!r} at vertex {i}")
             if not (0 <= a < self.k):
                 raise ValueError(f"vertex {i} assigned part {a}, outside [0,{self.k})")
 

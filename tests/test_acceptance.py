@@ -33,7 +33,6 @@ from dagpart import (
     write_lp,
 )
 from dagpart.exact import OPTIMAL
-from dagpart.multilevel import project
 from dagpart.qcircuit import part_qubit_counts
 
 from conftest import (
@@ -266,7 +265,7 @@ def test_acceptance_6_multilevel_sanity(capsys):
             for assignment in ((0,) * level.graph.n,
                                tuple(i % 2 for i in range(level.graph.n))):
                 pc = Partition(assignment, 2)
-                pf = project(pc, level.mapping, finer.n)
+                pf = Partition(tuple(assignment[c] for c in level.mapping), 2)
                 if edge_cut(level.graph, pc) != edge_cut(finer, pf):
                     conservation_failures.append(("cut", g.edges))
             finer = level.graph

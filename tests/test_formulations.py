@@ -426,3 +426,17 @@ def test_quantum_models_share_equal_term_pairs(strategy):
         _assert_equal_pairs_are_one_object(
             build_quantum(g, BuildOptions(k=k, eps=Fraction(1, 2)), nq, lm=3,
                           strategy=strategy))
+
+
+def test_models_store_only_the_pairs_their_rows_read():
+    # the (-1, x_i_s) table is built only where rows read it, and nossack's
+    # (2, z) table, for tri5, only on the (i, h) pairs of its triples
+    # (i, j, h); an edge of cost 2 puts its (2, z) pair in the objective
+    g, opts = LP_HASH_GRAPHS["random"](), BuildOptions(k=3, eps=Fraction(1, 10))
+    m = build_formulation("albareda-base", g, opts)
+    used = {pair for con in m.constraints for pair in con.terms}
+    assert set(m._pairs) == used | set(m.objective_terms)
+    m = build_formulation("nossack", g, opts)
+    doubled = {name for coef, name in m._pairs if coef == 2 and name.startswith("z_")}
+    objective = {name for coef, name in m.objective_terms if coef == 2}
+    assert doubled == objective | {f"z_{i}_{h}" for i, _, h in chained_triples(g)}

@@ -169,6 +169,11 @@ def test_read_solution_rejects_noise():
         read_solution(m, "a zero\n")
     with pytest.raises(NonIntegralValueError):
         read_solution(m, "a 0.5\n")
+    # the numerals that .dag and .part files reject: '_' digit grouping and
+    # non-ASCII digits, which int and Fraction would read as 1, 10 and 1
+    for value in ("0_1", "1_0", "\uff11", "1_0/1", "1/\u0661"):
+        with pytest.raises(SolutionParseError, match="bad numeric value"):
+            read_solution(m, f"a {value}\n")
 
 
 def test_evaluate_exact():

@@ -16,7 +16,6 @@ from dagpart import (
     coarsen,
     edge_cut,
     multilevel_partition,
-    project,
     refine_moves,
     validate,
 )
@@ -24,7 +23,6 @@ from dagpart.errors import (
     BudgetExhaustedError,
     CycleDetectedError,
     InfeasibleInstanceError,
-    InvalidProjectionError,
 )
 from dagpart.exact import branch_and_bound
 from dagpart.multilevel import (
@@ -247,16 +245,6 @@ def test_coarsen_bad_target():
         coarsen(chain(4), 1)
 
 
-def test_project():
-    coarse = Partition((0, 1), 2)
-    fine = project(coarse, (0, 0, 1), 3)
-    assert fine.assignment == (0, 0, 1)
-    with pytest.raises(InvalidProjectionError):
-        project(coarse, (0, 0), 3)
-    with pytest.raises(InvalidProjectionError):
-        project(coarse, (0, 0, 5), 3)
-
-
 def test_initial_partition_infeasible():
     g = Dag([3, 1], [(0, 1, 1)])
     with pytest.raises(InfeasibleInstanceError):
@@ -310,7 +298,8 @@ def test_multilevel_budget_stop_raises_when_no_level_left():
 
 
 def test_multilevel_rejects_target_below_two():
-    # a one-vertex graph never reaches coarsen, which has its own check
+    # coarsen, which the pipeline always calls, checks target_n before any
+    # contraction; a one-vertex graph gives it none to make
     with pytest.raises(ValueError, match="target_n"):
         multilevel_partition(Dag([1], []), 1, target_n=1)
 
@@ -434,27 +423,27 @@ def test_refine_moves_keeps_feasibility_and_lowers_cut():
     moved = 0
     for g, k, eps, start in _refine_cases():
         bound = balance_bound(g, k, eps)
-        p = refine_moves(g, start, k, bound)
+        part = refine_moves(g, start.assignment, k, bound)
+        p = Partition(part, k)
         assert validate(g, p, k, eps).feasible
         assert edge_cut(g, p) <= edge_cut(g, start)
-        assert all(p.assignment[u] <= p.assignment[v] for u, v, _ in g.edges)
-        assert refine_moves(g, p, k, bound) == p
-        moved += p != start
+        assert all(part[u] <= part[v] for u, v, _ in g.edges)
+        assert refine_moves(g, part, k, bound) == part
+        moved += part != start.assignment
     assert moved > 0
 
 
 def test_refine_moves_rejects_non_topological_numbering():
     g = chain(4)
     with pytest.raises(ValueError):
-        refine_moves(g, Partition((1, 1, 0, 0), 2), 2, 2)
+        refine_moves(g, (1, 1, 0, 0), 2, 2)
 
 
 def test_refine_moves_takes_lowest_part_on_ties():
     # vertex 2 alone in part 1 gains 1 in part 0 and 1 in part 2; the heavy
     # edges 0->1 and 3->4 keep their ends in place
     g = Dag([1] * 5, [(0, 1, 5), (1, 2, 1), (2, 3, 1), (3, 4, 5)])
-    p = refine_moves(g, Partition((0, 0, 1, 2, 2), 3), 3, 3)
-    assert p.assignment == (0, 0, 0, 2, 2)
+    assert refine_moves(g, (0, 0, 1, 2, 2), 3, 3) == (0, 0, 0, 2, 2)
 
 
 def test_refine_moves_takes_zero_gain_moves():
@@ -465,7 +454,7 @@ def test_refine_moves_takes_zero_gain_moves():
     g = Dag([1] * 4, [(2, 3, 3)])
     start = Partition((1, 2, 1, 2), 3)
     assert edge_cut(g, start) == 3
-    p = refine_moves(g, start, 3, 2)
+    p = Partition(refine_moves(g, start.assignment, 3, 2), 3)
     assert edge_cut(g, p) == 0
     assert validate(g, p, 3, Fraction(1, 2)).feasible
 
@@ -473,7 +462,8 @@ def test_refine_moves_takes_zero_gain_moves():
 def test_refine_moves_is_deterministic():
     for g, k, eps, start in _refine_cases():
         bound = balance_bound(g, k, eps)
-        assert refine_moves(g, start, k, bound) == refine_moves(g, start, k, bound)
+        part = start.assignment
+        assert refine_moves(g, part, k, bound) == refine_moves(g, part, k, bound)
 
 
 def test_projection_keeps_the_cut():
@@ -488,11 +478,15 @@ def test_projection_keeps_the_cut():
         assert levels
         graphs = [g] + [level.graph for level in levels]
         k = rng.randint(2, 4)
-        p = Partition(tuple(rng.randrange(k) for _ in range(graphs[-1].n)), k)
-        cut = edge_cut(graphs[-1], p)
+        part = tuple(rng.randrange(k) for _ in range(graphs[-1].n))
+        cut = edge_cut(graphs[-1], Partition(part, k))
         for pos in range(len(levels) - 1, -1, -1):
-            p = project(p, levels[pos].mapping, graphs[pos].n)
-            assert edge_cut(graphs[pos], p) == cut
+            mapping = levels[pos].mapping
+            # coarsen's mapping covers the finer graph and lands in the level
+            assert len(mapping) == graphs[pos].n
+            assert all(0 <= c < levels[pos].graph.n for c in mapping)
+            part = tuple(part[c] for c in mapping)
+            assert edge_cut(graphs[pos], Partition(part, k)) == cut
 
 
 # --- pinned coarsening levels ----------------------------------------------

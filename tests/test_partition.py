@@ -33,6 +33,16 @@ def test_partition_validation():
         Partition((0, 2), 2)
     p = Partition((0, 1, 0), 2)
     assert p.parts() == [[0, 2], [1]]
+    p = Partition((1.0, Fraction(0), True), 2)
+    assert p.assignment == (1, 0, 1) and all(type(a) is int for a in p.assignment)
+
+
+def test_partition_rejects_non_integral_part_ids():
+    # as Dag does for a weight: no id is rounded or parsed, and the error
+    # names the vertex
+    for assignment, vertex in (((0, 1.5), 1), (("1", 0), 0), ((0, 1, Fraction(1, 2)), 2)):
+        with pytest.raises(ValueError, match=f"non-integral part id .* at vertex {vertex}$"):
+            Partition(assignment, 2)
 
 
 @pytest.mark.parametrize("weights,k,eps,expected", [
