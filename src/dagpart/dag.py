@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CycleDetectedError,
@@ -14,8 +13,7 @@ from .errors import (
     SelfLoopError,
 )
 
-@dataclass(frozen=True)
-class TopoOrder:
+class TopoOrder(NamedTuple):
     """A topological order and its inverse permutation."""
 
     order: tuple[int, ...]
@@ -198,8 +196,7 @@ class Dag:
         return frozenset(mask_vertices(self.path_mask(u, v)))
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     """Graph over part ids induced by a partition; may be cyclic."""
 
     k: int

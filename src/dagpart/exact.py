@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
+from typing import NamedTuple
 
 from .dag import Dag, part_order
 from .errors import InvalidWarmStartError, QubitCapacityInfeasibleError, TooLargeError
@@ -55,20 +55,19 @@ def part_qubit_masks(nq, assignment, k: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class SolveBudget:
-    max_nodes: int | None = None
-    max_time: float | None = None
+class SolveBudget(NamedTuple("SolveBudget", [("max_nodes", "int | None"),
+                                              ("max_time", "float | None")])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 0:
+    def __new__(cls, max_nodes: int | None = None, max_time: float | None = None):
+        if max_nodes is not None and max_nodes < 0:
             raise ValueError("max_nodes must be non-negative")
-        if self.max_time is not None and self.max_time < 0:
+        if max_time is not None and max_time < 0:
             raise ValueError("max_time must be non-negative")
+        return super().__new__(cls, max_nodes, max_time)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     partition: Partition | None
     cut: int | None

@@ -6,22 +6,22 @@ All builders produce a LinearModel over the shared variable naming scheme
 x_{i}_{s}, z_{i}_{j}, y_{s}_{t}, pi_{s}, pq_{s}_{q}, u_{s}.  Pair indices
 for z follow topological position order, so "i before j" always means
 pos[i] < pos[j].  A builder formats each x, z and y name once, and turns
-each table of unit term pairs on them that its rows read, such as
-`(1, x_i_s)` or `(-1, z_i_j)`, into an id table once per build with
-`LinearModel.pair_ids`, which checks each pair as it enters the model's
-pair table; its `(sense, rhs)` tails come from `LinearModel.tail`.  A row
-is its name, a tuple of ids and a tail, and each row family goes to
-`LinearModel._add_rows` in one call, the large ones (`tri*`,
-`xtri*`/`xchain*`/`xpair3`, `topo*`, `acyc2`, `samepart`/`zlink`,
-`induced`) as generators of their rows.
+each table of unit term pairs on them, such as `(1, x_i_s)` or
+`(-1, z_i_j)`, into an id table once per build, holding only the names its
+rows read, with `LinearModel.pair_ids`, which checks each pair as it
+enters the model's pair table; its `(sense, rhs)` tails come from
+`LinearModel.tail`.  A row is its name, a tuple of ids and a tail, and
+each row family goes to `LinearModel._add_rows` in one call, the large
+ones (`tri*`, `xtri*`/`xchain*`/`xpair3`, `topo*`, `acyc2`,
+`samepart`/`zlink`, `induced`) as generators of their rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 from .dag import Dag, mask_vertices
 from .errors import AmbiguousAssignmentError
@@ -34,8 +34,7 @@ MIN_CUT = "min_cut"
 MAX_INTERNAL = "max_internal"
 
 
-@dataclass(frozen=True)
-class BuildOptions:
+class BuildOptions(NamedTuple):
     k: int
     eps: object = 0
     relax_z: bool = False
@@ -49,28 +48,12 @@ def _z(i, j):
     return f"z_{i}_{j}"
 
 
-def _y(s, t):
-    return f"y_{s}_{t}"
-
-
-def _pi(s):
-    return f"pi_{s}"
-
-
-def _pq(s, q):
-    return f"pq_{s}_{q}"
-
-
-def _u(s):
-    return f"u_{s}"
-
-
 def _add_common(m: LinearModel, g: Dag, k: int, bound: int):
     """x variables, one-part-per-vertex, and balance constraints.
 
     Returns the x names, `names[i][s]` being x_i_s, and the id table `px`
     of their `(1, x_i_s)` pairs; a builder whose rows read `(-1, x_i_s)`
-    makes that table by `_x_ids`."""
+    makes that table by `_x_ids`, for only the names its rows read."""
     names = [[m.add_binary(_x(i, s)) for s in range(k)] for i in range(g.n)]
     px = _x_ids(m, names, 1)
     m._add_rows((f"onepart_{i}", px[i], m.tail("=", 1)) for i in range(g.n))
@@ -80,7 +63,7 @@ def _add_common(m: LinearModel, g: Dag, k: int, bound: int):
 
 
 def _x_ids(m: LinearModel, names, coef) -> list[tuple]:
-    """The ids of the `(coef, x_i_s)` pairs, a tuple per vertex i."""
+    """The ids of the `(coef, x_i_s)` pairs, a tuple per row of names."""
     return [m.pair_ids([(coef, name) for name in row]) for row in names]
 
 
@@ -103,10 +86,22 @@ def _id_table(m: LinearModel, coef, names: dict) -> dict:
     return dict(zip(names, m.pair_ids([(coef, name) for name in names.values()])))
 
 
+class _IdsOnRead(dict):
+    """`_id_table` for rows that read only some names of a table: the id of
+    the pair `(coef, names[key])` is made on the key's first read."""
+
+    def __init__(self, m: LinearModel, coef, names: dict):
+        self.m, self.coef, self.names = m, coef, names
+
+    def __missing__(self, key):
+        self[key] = pair_id = self.m.pair_ids([(self.coef, self.names[key])])[0]
+        return pair_id
+
+
 def _add_y(m: LinearModel, k: int) -> dict:
     """Binary y_s_t for every ordered pair of distinct parts; returns each
     pair's name."""
-    return {(s, t): m.add_binary(_y(s, t)) for s in range(k) for t in range(k) if s != t}
+    return {(s, t): m.add_binary(f"y_{s}_{t}") for s in range(k) for t in range(k) if s != t}
 
 
 def _add_induced(m: LinearModel, g: Dag, px, y: dict) -> None:
@@ -123,9 +118,12 @@ def _add_induced(m: LinearModel, g: Dag, px, y: dict) -> None:
     m._add_rows(rows())
 
 
-def _add_same_part(m: LinearModel, prefix: str, pz: dict, px, nx) -> None:
+def _add_same_part(m: LinearModel, prefix: str, pz: dict, px, names) -> None:
     """Same-part z rows: z = 1 claims i and j share a part; without these rows
-    nothing pins z to 0 on a cut edge, and a solver could claim a false cut."""
+    nothing pins z to 0 on a cut edge, and a solver could claim a false cut.
+    The rows read `(-1, x_j_s)` only for the second vertices j of pairs."""
+    heads = sorted({j for _, j in pz})
+    nx = dict(zip(heads, _x_ids(m, [names[j] for j in heads], -1)))
     le1 = m.tail("<=", 1)
 
     def rows():
@@ -214,7 +212,8 @@ def build_undirected(g: Dag, opts: BuildOptions) -> LinearModel:
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("undirected")
     names, px = _add_common(m, g, k, bound)
-    nx = _x_ids(m, names, -1)
+    ends = {i for u, v, _ in g.edges for i in (u, v)}
+    nx = _x_ids(m, [row if i in ends else () for i, row in enumerate(names)], -1)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], opts.relax_z)
     nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
     # two-sided linearization of z >= |x_us - x_vs|
@@ -238,7 +237,8 @@ def _proposed_core(m: LinearModel, g: Dag, k: int, bound: int, relax_z: bool):
     """The rows `proposed` and the quantum models share; returns the x id
     table `px` and the z names."""
     names, px = _add_common(m, g, k, bound)
-    nx = _x_ids(m, names, -1)
+    tails = {u for u, _, _ in g.edges}
+    nx = _x_ids(m, [row if i in tails else () for i, row in enumerate(names)], -1)
     z = _add_zs(m, [(u, v) for u, v, _ in g.edges], relax_z)
     y = _add_y(m, k)
     nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
@@ -258,21 +258,25 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     bound = balance_bound(g, k, opts.eps)
     m = LinearModel("nossack")
     names, px = _add_common(m, g, k, bound)
-    nx = _x_ids(m, names, -1)
 
     triples = chained_triples(g)
     # z only for pairs the model actually references: edges and chained-triple
     # pairs; unreferenced pairs cannot affect the optimum
     z = _add_zs(m, _z_pairs(g, triples), opts.relax_z)
     y = _add_y(m, k)
-    pi = [_pi(s) for s in range(k)]
+    pi = [f"pi_{s}" for s in range(k)]
     for name in pi:
         m.add_integer(name, 0, k - 1)
 
-    pz, nz = _id_table(m, 1, z), _id_table(m, -1, z)
-    # 2 z_i_h appears only in tri5, once per triple (i, j, h)
-    twoz = _id_table(m, 2, {(i, h): z[i, h] for i, _, h in triples})
-    _add_same_part(m, "samepart", pz, px, nx)
+    # the tri rows read -z only on the pairs of triples, the (a, b) where a
+    # has an ancestor, b a descendant or a vertex lies between them; tri5
+    # reads 2 z only on the pairs with a vertex between
+    anc, desc = g.ancestor_masks, g.descendant_masks
+    pz = _id_table(m, 1, z)
+    nz = _id_table(m, -1, {(a, b): name for (a, b), name in z.items()
+                           if anc[a] or desc[b] or desc[a] & anc[b]})
+    twoz = _id_table(m, 2, {(a, b): name for (a, b), name in z.items() if desc[a] & anc[b]})
+    _add_same_part(m, "samepart", pz, px, names)
     le1, le0 = m.tail("<=", 1), m.tail("<=", 0)
 
     def tri_rows():
@@ -291,6 +295,7 @@ def build_nossack(g: Dag, opts: BuildOptions) -> LinearModel:
     big_m = max(g.n, k)
     m._add_rows((f"mtz_{s}_{t}", m.pair_ids([(big_m, name), (-1, pi[t]), (1, pi[s])]),
                  m.tail("<=", big_m - 1)) for (s, t), name in y.items())
+    nx = _x_ids(m, [row[:-1] for row in names], -1)  # read for parts s < k - 1
     m._add_rows((f"symmetry_{s}", tuple(row[s] for row in px)
                  + tuple(row[s - 1] for row in nx), le0) for s in range(1, k))
 
@@ -353,7 +358,8 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                      m.tail("<=", 2)) for u, v, _ in g.edges for s in range(k))
 
     if variant in ("extended", "final"):
-        nz, le0 = _id_table(m, -1, z), m.tail("<=", 0)
+        # triple_rows reads -z on some pairs only, final's acyc2 on every one
+        nz, le0 = _IdsOnRead(m, -1, z), m.tail("<=", 0)
         m._add_rows((f"fixz_{i}_{j}", (zij,), m.tail("=", 0)) for (i, j), zij in pz.items()
                     if a_tab[(i, j)] > bound)
 
@@ -411,7 +417,7 @@ def build_albareda(g: Dag, opts: BuildOptions, variant: str = "base") -> LinearM
                     yield f"{head}{s}", nzij + prefix_ge(i, s) + prefix_le(j, s), le1
 
         m._add_rows(acyc2_rows())
-        _add_same_part(m, "zlink", pz, px, _x_ids(m, names, -1))
+        _add_same_part(m, "zlink", pz, px, names)
 
     _finish(m, f"albareda-{variant}", g, opts, bound, MAX_INTERNAL, z)
     return m
@@ -439,7 +445,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
     m = LinearModel(f"quantum-{strategy}")
     px, z = _proposed_core(m, g, k, bound, opts.relax_z)
     _finish(m, "quantum", g, opts, bound, MIN_CUT, z)
-    pq = [[m.add_binary(_pq(s, q)) for q in range(n_qubits)] for s in range(k)]
+    pq = [[m.add_binary(f"pq_{s}_{q}") for q in range(n_qubits)] for s in range(k)]
     npq, le0 = [m.pair_ids([(-1, name) for name in row]) for row in pq], m.tail("<=", 0)
     m._add_rows((f"qubit_{i}_{q}_{s}", (px[i][s], npq[s][q]), le0)
                 for i in range(g.n) for q in mask_vertices(nq[i]) for s in range(k))
@@ -447,7 +453,7 @@ def build_quantum(g: Dag, opts: BuildOptions, nq, lm: int,
                  m.tail("<=", lm)) for s, row in enumerate(pq))
     if strategy == "bigm":
         big_m = 1 + g.total_cost
-        u = [m.add_binary(_u(s)) for s in range(k)]
+        u = [m.add_binary(f"u_{s}") for s in range(k)]
         nu = m.pair_ids([(-1, name) for name in u])
         m._add_rows((f"used_{i}_{s}", (px[i][s], nu[s]), le0)
                     for i in range(g.n) for s in range(k))

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
 from operator import itemgetter, sub
@@ -55,8 +54,7 @@ MAXIMIZE = "max"
 _SENSES = ("<=", ">=", "=")
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str
     lb: Fraction | int | None = None
@@ -70,8 +68,7 @@ class Constraint(NamedTuple):
     rhs: Fraction | int
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     feasible: bool
     violations: tuple[str, ...]
     objective: int | Fraction
@@ -221,7 +218,9 @@ class LinearModel:
 
     @property
     def constraints(self) -> _Rows:
-        """The rows in declaration order, as a read-only sequence."""
+        """The rows in declaration order, as a read-only sequence: a view
+        for tests, debugging and `bench/run.py`, which no library code
+        reads."""
         return _Rows(self)
 
     def var(self, name: str) -> Variable:

@@ -29,11 +29,9 @@ the pass's one `Partition`, on the input graph before it searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dag import Dag
 from .errors import BudgetExhaustedError, InfeasibleInstanceError
@@ -52,8 +50,7 @@ LEVEL_DIVISOR = 8
 FINEST_POLISH_FACTOR = 10
 
 
-@dataclass(frozen=True)
-class CoarseningLevel:
+class CoarseningLevel(NamedTuple):
     """A coarser graph, as its weights and its sorted edges, plus the
     fine->coarse mapping of the steps it spans."""
 
@@ -61,9 +58,9 @@ class CoarseningLevel:
     edges: tuple[tuple[int, int, int], ...]
     mapping: tuple[int, ...]
 
-    @cached_property
+    @property
     def graph(self) -> Dag:
-        """The level as a validated `Dag`, built on first access."""
+        """The level as a validated `Dag`, built anew on each access."""
         return Dag(self.w, self.edges)
 
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dag import Dag, part_order, quotient_graph
 from .errors import InvalidKError, PartitionParseError
@@ -24,23 +23,22 @@ def to_fraction(eps) -> Fraction:
     return Fraction(eps)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("assignment", "tuple[int, ...]"), ("k", "int")])):
     """Assignment of every vertex to one of k parts; empty parts allowed."""
 
-    assignment: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidKError(f"k must be >= 1, got {self.k}")
-        given = tuple(self.assignment)
-        object.__setattr__(self, "assignment", tuple(map(int, given)))
-        for i, (a, x) in enumerate(zip(self.assignment, given)):
+    def __new__(cls, assignment: Sequence[int], k: int):
+        if k < 1:
+            raise InvalidKError(f"k must be >= 1, got {k}")
+        given = tuple(assignment)
+        ids = tuple(map(int, given))
+        for i, (a, x) in enumerate(zip(ids, given)):
             if a != x:
                 raise ValueError(f"non-integral part id {x!r} at vertex {i}")
-            if not (0 <= a < self.k):
-                raise ValueError(f"vertex {i} assigned part {a}, outside [0,{self.k})")
+            if not (0 <= a < k):
+                raise ValueError(f"vertex {i} assigned part {a}, outside [0,{k})")
+        return super().__new__(cls, ids, k)
 
     def parts(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
@@ -49,8 +47,7 @@ class Partition:
         return out
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     cut: int
     part_weights: tuple[int, ...]
     bound: int

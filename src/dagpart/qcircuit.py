@@ -3,7 +3,7 @@ partitioning driver with a per-part unique-qubit cap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dag import Dag
 from .errors import (
@@ -18,14 +18,12 @@ from .exact import (OPTIMAL, STOPPED, SolveBudget, branch_and_bound, brute_force
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     name: str
     qubits: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Gate list over named qubits, in program order."""
 
     qubits: tuple[str, ...]

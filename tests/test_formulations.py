@@ -429,13 +429,20 @@ def test_quantum_models_share_equal_term_pairs(strategy):
 
 
 def test_models_store_only_the_pairs_their_rows_read():
-    # the (-1, x_i_s) table is built only where rows read it, and nossack's
-    # (2, z) table, for tri5, only on the (i, h) pairs of its triples
-    # (i, j, h); an edge of cost 2 puts its (2, z) pair in the objective
-    g, opts = LP_HASH_GRAPHS["random"](), BuildOptions(k=3, eps=Fraction(1, 10))
-    m = build_formulation("albareda-base", g, opts)
-    used = {pair for con in m.constraints for pair in con.terms}
-    assert set(m._pairs) == used | set(m.objective_terms)
+    # every id table, the (-1, x) and (-1, z) ones included, holds only the
+    # pairs that a row or the objective reads, on the LP-hash graphs and on
+    # a path with an isolated vertex; nossack's (2, z) table, for tri5,
+    # holds only the (i, h) pairs of its triples (i, j, h), and an edge of
+    # cost 2 puts its (2, z) pair in the objective
+    opts = BuildOptions(k=3, eps=Fraction(1, 10))
+    graphs = [make() for make in LP_HASH_GRAPHS.values()]
+    graphs.append(Dag([1, 1, 1, 1], [(0, 1, 1), (1, 2, 1)]))
+    for name in FORMULATION_NAMES:
+        for g in graphs:
+            m = build_formulation(name, g, opts)
+            used = {pair for con in m.constraints for pair in con.terms}
+            assert set(m._pairs) == used | set(m.objective_terms), (name, g.n)
+    g = graphs[0]
     m = build_formulation("nossack", g, opts)
     doubled = {name for coef, name in m._pairs if coef == 2 and name.startswith("z_")}
     objective = {name for coef, name in m.objective_terms if coef == 2}
